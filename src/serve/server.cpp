@@ -1,6 +1,8 @@
 #include "serve/server.h"
 
+#include <chrono>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "serve/net.h"
@@ -9,6 +11,7 @@
 
 namespace uavres::serve {
 
+using telemetry::EncodeFrame;
 using telemetry::RejectReason;
 using telemetry::RequestState;
 using telemetry::ResultSource;
@@ -16,6 +19,20 @@ using telemetry::SpecFrame;
 using telemetry::SpecMsgType;
 using telemetry::WireRequest;
 using telemetry::WireSpec;
+
+namespace {
+
+std::string RejectFrame(std::uint64_t request_id, RejectReason reason,
+                        const std::string& detail) {
+  return EncodeFrame(SpecMsgType::kReject,
+                     telemetry::EncodeReject(request_id, reason, detail));
+}
+
+std::string ProgressFrame(std::uint64_t request_id, RequestState state) {
+  return EncodeFrame(SpecMsgType::kProgress, telemetry::EncodeProgress(request_id, state));
+}
+
+}  // namespace
 
 /// One client connection. The reader thread owns the receive side; result
 /// fan-out happens from worker threads, so every send serializes on
@@ -27,6 +44,7 @@ struct Server::Connection {
   int fd{-1};
   std::mutex write_mutex;
   std::atomic<bool> alive{true};
+  std::atomic<bool> reader_done{false};  ///< set as the reader thread exits
   bool hello_done{false};  ///< reader-thread only
   std::string peer_name;   ///< from Hello, for diagnostics
 
@@ -61,14 +79,6 @@ Server::Server(ServerConfig cfg)
 
 Server::~Server() {
   Stop();
-  // Unblock any reader still waiting on its peer, then join.
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    // conn_threads_ joined below; fds are shut down by Run()/Stop() paths.
-  }
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
@@ -88,46 +98,58 @@ void Server::Stop() {
 }
 
 void Server::Run() {
-  std::vector<std::shared_ptr<Connection>> conns;
+  // One reader thread per connection. Readers whose peer has gone are
+  // joined and dropped on every pass, so a long-lived daemon holds fds and
+  // thread stacks only for live connections.
+  struct Reader {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+  };
+  std::vector<Reader> readers;
+  std::uint64_t next_conn_id = 1;
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    for (auto it = readers.begin(); it != readers.end();) {
+      if (it->conn->reader_done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = readers.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    const int fd = net::Accept(listen_fd_);
     if (fd < 0) {
       if (stopping_.load(std::memory_order_acquire)) break;
+      // Out of descriptors: back off instead of spinning until a peer leaves.
+      if (errno == EMFILE || errno == ENFILE) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
       continue;  // transient accept failure (EINTR, peer gone mid-handshake)
     }
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(conn_mutex_);
-      conn->id = next_conn_id_++;
-      conns.push_back(conn);
-      conn_threads_.emplace_back([this, conn] { HandleConnection(conn); });
-    }
+    conn->id = next_conn_id++;
+    readers.push_back({conn, std::thread([this, conn] { HandleConnection(conn); })});
     UAVRES_COUNT("serve.connections");
   }
   // Drain: admitted work completes and its results reach still-open
   // connections before the daemon exits.
   if (pool_) pool_->Drain();
-  for (const auto& conn : conns) {
-    if (conn->alive.load()) ::shutdown(conn->fd, SHUT_RDWR);
+  for (const auto& r : readers) {
+    if (r.conn->alive.load()) ::shutdown(r.conn->fd, SHUT_RDWR);
   }
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (auto& t : conn_threads_) {
-      if (t.joinable()) t.join();
-    }
-    conn_threads_.clear();
+  for (auto& r : readers) r.thread.join();
+}
+
+void Server::SendLocked(Connection& conn, const std::string& frames) {
+  if (!conn.alive.load(std::memory_order_acquire)) return;
+  if (!net::SendAll(conn.fd, frames.data(), frames.size())) {
+    conn.alive.store(false, std::memory_order_release);
   }
 }
 
-void Server::SendFrame(const std::shared_ptr<Connection>& conn, SpecMsgType type,
-                       const std::string& payload) {
-  if (!conn->alive.load(std::memory_order_acquire)) return;
-  const std::string frame = telemetry::EncodeFrame(type, payload);
+void Server::Send(const std::shared_ptr<Connection>& conn, const std::string& frames) {
   std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (!net::SendAll(conn->fd, frame.data(), frame.size())) {
-    conn->alive.store(false, std::memory_order_release);
-  }
+  SendLocked(*conn, frames);
 }
 
 void Server::HandleConnection(const std::shared_ptr<Connection>& conn) {
@@ -142,14 +164,13 @@ void Server::HandleConnection(const std::shared_ptr<Connection>& conn) {
       if (!conn->alive.load(std::memory_order_acquire)) break;
     }
     if (reader.corrupt()) {
-      SendFrame(conn, SpecMsgType::kReject,
-                telemetry::EncodeReject(0, RejectReason::kMalformed,
-                                        "oversized or corrupt frame"));
+      Send(conn, RejectFrame(0, RejectReason::kMalformed, "oversized or corrupt frame"));
       break;
     }
   }
   conn->alive.store(false, std::memory_order_release);
   ::shutdown(conn->fd, SHUT_RDWR);
+  conn->reader_done.store(true, std::memory_order_release);
 }
 
 void Server::HandleFrame(const std::shared_ptr<Connection>& conn, const SpecFrame& frame) {
@@ -160,25 +181,21 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn, const SpecFram
     std::string name;
     if (frame.type != SpecMsgType::kHello ||
         !telemetry::DecodeHello(frame.payload, version, name)) {
-      SendFrame(conn, SpecMsgType::kReject,
-                telemetry::EncodeReject(0, RejectReason::kMalformed,
-                                        "expected Hello first"));
+      Send(conn, RejectFrame(0, RejectReason::kMalformed, "expected Hello first"));
       conn->alive.store(false, std::memory_order_release);
       return;
     }
     if (version != telemetry::kSpecSchemaVersion) {
-      SendFrame(conn, SpecMsgType::kReject,
-                telemetry::EncodeReject(
-                    0, RejectReason::kVersionMismatch,
-                    "server speaks spec schema v" +
-                        std::to_string(telemetry::kSpecSchemaVersion)));
+      Send(conn, RejectFrame(0, RejectReason::kVersionMismatch,
+                             "server speaks spec schema v" +
+                                 std::to_string(telemetry::kSpecSchemaVersion)));
       conn->alive.store(false, std::memory_order_release);
       return;
     }
     conn->hello_done = true;
     conn->peer_name = std::move(name);
-    SendFrame(conn, SpecMsgType::kHelloAck,
-              telemetry::EncodeHelloAck(telemetry::kSpecSchemaVersion));
+    Send(conn, EncodeFrame(SpecMsgType::kHelloAck,
+                           telemetry::EncodeHelloAck(telemetry::kSpecSchemaVersion)));
     return;
   }
 
@@ -194,15 +211,11 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn, const SpecFram
         UAVRES_COUNT("serve.shutdown-requests");
         Stop();
       } else {
-        SendFrame(conn, SpecMsgType::kReject,
-                  telemetry::EncodeReject(0, RejectReason::kBadSpec,
-                                          "remote shutdown disabled"));
+        Send(conn, RejectFrame(0, RejectReason::kBadSpec, "remote shutdown disabled"));
       }
       return;
     default:
-      SendFrame(conn, SpecMsgType::kReject,
-                telemetry::EncodeReject(0, RejectReason::kMalformed,
-                                        "unexpected message type"));
+      Send(conn, RejectFrame(0, RejectReason::kMalformed, "unexpected message type"));
       conn->alive.store(false, std::memory_order_release);
       return;
   }
@@ -212,13 +225,18 @@ void Server::HandleSubmit(const std::shared_ptr<Connection>& conn,
                           const std::string& payload) {
   std::vector<WireRequest> batch;
   if (!telemetry::DecodeSubmitBatch(payload, batch)) {
-    SendFrame(conn, SpecMsgType::kReject,
-              telemetry::EncodeReject(0, RejectReason::kMalformed,
-                                      "undecodable submit batch"));
+    Send(conn, RejectFrame(0, RejectReason::kMalformed, "undecodable submit batch"));
     conn->alive.store(false, std::memory_order_release);
     return;
   }
-  for (const auto& req : batch) SubmitOne(conn, req);
+  // The whole batch's admission frames leave in one write. The write lock
+  // is held across admission so no worker can send a request's Running or
+  // Result before its Queued/Attached frame. Lock order: write_mutex ->
+  // flight_mutex_ -> pool; nothing takes them in reverse.
+  std::string frames;
+  std::lock_guard<std::mutex> lock(conn->write_mutex);
+  for (const auto& req : batch) SubmitOne(conn, req, frames);
+  SendLocked(*conn, frames);
 }
 
 namespace {
@@ -248,20 +266,18 @@ std::string ValidateSpec(const WireSpec& s, std::size_t fleet_size) {
 
 }  // namespace
 
-void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireRequest& req) {
+void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireRequest& req,
+                       std::string& frames) {
   UAVRES_COUNT("serve.requests");
   if (const std::string why = ValidateSpec(req.spec, fleet_.size()); !why.empty()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     UAVRES_COUNT("serve.rejected.bad-spec");
-    SendFrame(conn, SpecMsgType::kReject,
-              telemetry::EncodeReject(req.request_id, RejectReason::kBadSpec, why));
+    frames += RejectFrame(req.request_id, RejectReason::kBadSpec, why);
     return;
   }
   if (stopping_.load(std::memory_order_acquire)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    SendFrame(conn, SpecMsgType::kReject,
-              telemetry::EncodeReject(req.request_id, RejectReason::kShuttingDown,
-                                      "daemon is draining"));
+    frames += RejectFrame(req.request_id, RejectReason::kShuttingDown, "daemon is draining");
     return;
   }
 
@@ -315,27 +331,24 @@ void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireReques
   if (overloaded) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     UAVRES_COUNT("serve.rejected.overload");
-    SendFrame(conn, SpecMsgType::kReject,
-              telemetry::EncodeReject(req.request_id, RejectReason::kRejectedOverload,
-                                      "admission queue full"));
+    frames += RejectFrame(req.request_id, RejectReason::kRejectedOverload,
+                          "admission queue full");
     return;
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
   if (attached) {
     singleflight_.fetch_add(1, std::memory_order_relaxed);
     UAVRES_COUNT("serve.dedup.singleflight");
-    SendFrame(conn, SpecMsgType::kProgress,
-              telemetry::EncodeProgress(req.request_id, RequestState::kAttached));
+    frames += ProgressFrame(req.request_id, RequestState::kAttached);
   } else {
     UAVRES_COUNT("serve.admitted");
-    SendFrame(conn, SpecMsgType::kProgress,
-              telemetry::EncodeProgress(req.request_id, RequestState::kQueued));
+    frames += ProgressFrame(req.request_id, RequestState::kQueued);
   }
 }
 
 std::shared_ptr<const telemetry::Trajectory> Server::GoldTrajectory(
     int mission_index, std::uint64_t seed_base, bool recovery,
-    core::MissionResult* result_out) {
+    core::MissionResult* result_out, const std::function<void()>& before_simulate) {
   api::RunConfig run_cfg = cfg_.run;
   run_cfg.recovery = recovery;
   const std::size_t mission = static_cast<std::size_t>(mission_index);
@@ -363,6 +376,7 @@ std::shared_ptr<const telemetry::Trajectory> Server::GoldTrajectory(
           std::move(*cached->trajectory));
       UAVRES_COUNT("serve.gold.store-hits");
     } else {
+      if (before_simulate) before_simulate();
       UAVRES_TRACE_SCOPE("serve/gold-run");
       const api::SimulationRunner runner(run_cfg);
       auto out = runner.Run(espec);
@@ -392,19 +406,22 @@ void Server::RunFlight(std::uint64_t key) {
     if (it == flights_.end()) return;  // cannot happen; defensive
     flight = it->second;
   }
-  // Announce the state transition to everyone attached so far; later
-  // attachers already know they are riding along.
-  {
+  // Running is announced only when the flight is about to simulate, to
+  // everyone attached so far; later attachers already know they are riding
+  // along. A flight resolved from the store or the gold cache instead sends
+  // Running together with its Result, one write per waiter.
+  bool announced = false;
+  const auto announce_running = [&] {
     std::vector<Flight::Waiter> now;
     {
       std::lock_guard<std::mutex> lock(flight_mutex_);
       now = flight->waiters;
     }
     for (const auto& w : now) {
-      SendFrame(w.conn, SpecMsgType::kProgress,
-                telemetry::EncodeProgress(w.request_id, RequestState::kRunning));
+      Send(w.conn, ProgressFrame(w.request_id, RequestState::kRunning));
     }
-  }
+    announced = true;
+  };
 
   api::RunConfig run_cfg = cfg_.run;
   run_cfg.recovery = flight->recovery;
@@ -413,7 +430,8 @@ void Server::RunFlight(std::uint64_t key) {
 
   if (flight->IsGold()) {
     const std::uint64_t before = gold_computed_.load(std::memory_order_relaxed);
-    GoldTrajectory(flight->mission_index, flight->seed_base, flight->recovery, &result);
+    GoldTrajectory(flight->mission_index, flight->seed_base, flight->recovery, &result,
+                   announce_running);
     lead_source = gold_computed_.load(std::memory_order_relaxed) > before
                       ? ResultSource::kComputed
                       : ResultSource::kStoreHit;
@@ -432,6 +450,7 @@ void Server::RunFlight(std::uint64_t key) {
       store_hits_.fetch_add(1, std::memory_order_relaxed);
       UAVRES_COUNT("serve.dedup.store-hits");
     } else {
+      announce_running();
       // Bubble violations are counted against the mission's gold reference —
       // resolved through the gold cache so N dependent faulty runs trigger
       // at most one reference simulation.
@@ -467,16 +486,19 @@ void Server::RunFlight(std::uint64_t key) {
     // immediately queries stats must see it reflected.
     completed_.fetch_add(1, std::memory_order_relaxed);
     UAVRES_COUNT("serve.completed");
-    SendFrame(waiters[i].conn, SpecMsgType::kResult,
-              telemetry::EncodeResult(waiters[i].request_id, source, result_bytes));
+    std::string frames;
+    if (!announced) frames = ProgressFrame(waiters[i].request_id, RequestState::kRunning);
+    frames += EncodeFrame(SpecMsgType::kResult,
+                          telemetry::EncodeResult(waiters[i].request_id, source, result_bytes));
+    Send(waiters[i].conn, frames);
   }
 }
 
 void Server::SendStats(const std::shared_ptr<Connection>& conn) {
   std::ostringstream json;
   telemetry::MetricsRegistry::Global().WriteJson(json);
-  SendFrame(conn, SpecMsgType::kStatsReply,
-            telemetry::EncodeStatsReply(stats(), json.str()));
+  Send(conn, EncodeFrame(SpecMsgType::kStatsReply,
+                         telemetry::EncodeStatsReply(stats(), json.str())));
 }
 
 telemetry::ServeStats Server::stats() const {

@@ -24,11 +24,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/api.h"
@@ -95,20 +95,27 @@ class Server {
                    const telemetry::SpecFrame& frame);
   void HandleSubmit(const std::shared_ptr<Connection>& conn,
                     const std::string& payload);
+  /// Admits one request and appends its Queued/Attached or Reject frame to
+  /// `frames`; the caller holds `conn->write_mutex`.
   void SubmitOne(const std::shared_ptr<Connection>& conn,
-                 const telemetry::WireRequest& req);
+                 const telemetry::WireRequest& req, std::string& frames);
   void RunFlight(std::uint64_t key);
   void SendStats(const std::shared_ptr<Connection>& conn);
 
   /// Gold reference for (mission, seed_base, recovery): in-memory cache in
   /// front of the store, single-flight so concurrent dependents trigger one
-  /// reference run. Returns nullptr only on an internal failure.
+  /// reference run. `before_simulate` runs only when this call is about to
+  /// simulate the reference. Returns nullptr only on an internal failure.
   std::shared_ptr<const telemetry::Trajectory> GoldTrajectory(
       int mission_index, std::uint64_t seed_base, bool recovery,
-      core::MissionResult* result_out);
+      core::MissionResult* result_out,
+      const std::function<void()>& before_simulate = {});
 
-  static void SendFrame(const std::shared_ptr<Connection>& conn,
-                        telemetry::SpecMsgType type, const std::string& payload);
+  /// The one send path: writes `frames` (one or more encoded frames) with a
+  /// single SendAll. The caller holds `conn.write_mutex`.
+  static void SendLocked(Connection& conn, const std::string& frames);
+  /// Takes the connection's write lock and sends `frames`.
+  static void Send(const std::shared_ptr<Connection>& conn, const std::string& frames);
 
   ServerConfig cfg_;
   const std::vector<core::DroneSpec>& fleet_;
@@ -118,10 +125,6 @@ class Server {
   int listen_fd_{-1};
   std::uint16_t port_{0};
   std::atomic<bool> stopping_{false};
-
-  std::mutex conn_mutex_;
-  std::vector<std::thread> conn_threads_;
-  std::uint64_t next_conn_id_{1};
 
   /// Single-flight table: cache key -> in-flight run with attached waiters.
   std::mutex flight_mutex_;

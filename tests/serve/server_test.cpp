@@ -6,12 +6,20 @@
 //     never deadlocks the accepted work,
 //   * the versioned handshake — a schema-skewed client is refused before
 //     any spec is interpreted,
-//   * byte-identity — a served result equals the offline library run.
+//   * byte-identity — a served result equals the offline library run,
+//   * per-request frame order — Queued|Attached -> Running -> Result, never
+//     anything after the terminal frame,
+//   * transport — warm hits answer without a Nagle/delayed-ACK stall, and
+//     closed connections release their descriptors.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <map>
+#include <optional>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -25,6 +33,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using telemetry::RejectReason;
+using telemetry::SpecMsgType;
 using telemetry::WireSpec;
 
 std::string MakeCacheDir(const char* tag) {
@@ -45,6 +54,21 @@ WireSpec FaultySpec(int mission, std::uint8_t type = 3 /*kRandom*/,
   s.duration_s = duration_s;
   s.magnitude = 1.0;
   return s;
+}
+
+WireSpec GoldSpec(int mission) {
+  WireSpec s;
+  s.mission_index = mission;
+  s.seed_base = 2024;
+  return s;
+}
+
+/// Eight distinct, quick specs: mission 0's gold run plus one 2 s fault of
+/// each of the seven types.
+std::vector<WireSpec> EightSpecs() {
+  std::vector<WireSpec> specs{GoldSpec(0)};
+  for (std::uint8_t type = 0; type < 7; ++type) specs.push_back(FaultySpec(0, type, 2.0));
+  return specs;
 }
 
 /// Server on an ephemeral port with its accept loop on a background thread.
@@ -298,6 +322,234 @@ TEST(ServeServer, StatsRequestReportsCountersAndMetrics) {
   EXPECT_FALSE(metrics_json.empty());
   EXPECT_NE(metrics_json.find("serve."), std::string::npos)
       << "serve counters missing from the metrics registry dump";
+}
+
+/// A raw-socket client (no serve::Client in between) that records, per
+/// request id, the frames the daemon sent as a string: Q(ueued),
+/// A(ttached), R(unning), D (Result) and X (Reject).
+class FrameRecorder {
+ public:
+  explicit FrameRecorder(std::uint16_t port) {
+    fd_ = net::Connect("127.0.0.1", port, &error_);
+    if (fd_ < 0) return;
+    Write(SpecMsgType::kHello,
+          telemetry::EncodeHello(telemetry::kSpecSchemaVersion, "recorder"));
+    telemetry::SpecFrame frame;
+    if (Read(frame) && frame.type != SpecMsgType::kHelloAck) error_ = "handshake refused";
+  }
+  ~FrameRecorder() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  FrameRecorder(const FrameRecorder&) = delete;
+  FrameRecorder& operator=(const FrameRecorder&) = delete;
+
+  /// Submits `specs` as one batch and reads until every request is terminal.
+  void SubmitBatch(const std::vector<WireSpec>& specs) {
+    std::vector<telemetry::WireRequest> batch;
+    std::set<std::uint64_t> pending;
+    for (const auto& spec : specs) {
+      batch.push_back({next_id_, spec});
+      pending.insert(next_id_++);
+    }
+    Write(SpecMsgType::kSubmitBatch, telemetry::EncodeSubmitBatch(batch));
+    while (!pending.empty() && error_.empty()) {
+      telemetry::SpecFrame frame;
+      if (!Read(frame)) return;
+      if (const auto done = Record(frame)) pending.erase(*done);
+    }
+  }
+
+  /// Round-trips a Stats request, so every frame the daemon sent before the
+  /// reply is recorded.
+  void Flush() {
+    Write(SpecMsgType::kStats, std::string());
+    telemetry::SpecFrame frame;
+    while (error_.empty() && Read(frame) && frame.type != SpecMsgType::kStatsReply) {
+      Record(frame);
+    }
+  }
+
+  const std::string& error() const { return error_; }
+  const std::map<std::uint64_t, std::string>& sequences() const { return sequences_; }
+
+ private:
+  void Write(SpecMsgType type, const std::string& payload) {
+    const std::string frame = telemetry::EncodeFrame(type, payload);
+    if (error_.empty() && !net::SendAll(fd_, frame.data(), frame.size())) {
+      error_ = "send failed";
+    }
+  }
+
+  bool Read(telemetry::SpecFrame& frame) {
+    char buf[16 * 1024];
+    for (;;) {
+      if (auto next = reader_.Next()) {
+        frame = std::move(*next);
+        return true;
+      }
+      const ssize_t got = net::RecvSome(fd_, buf, sizeof buf);
+      if (got <= 0 || !reader_.Feed(buf, static_cast<std::size_t>(got))) {
+        error_ = "connection lost";
+        return false;
+      }
+    }
+  }
+
+  /// Appends the frame's letter to its request; returns the id when the
+  /// frame is terminal.
+  std::optional<std::uint64_t> Record(const telemetry::SpecFrame& frame) {
+    std::uint64_t id = 0;
+    switch (frame.type) {
+      case SpecMsgType::kProgress: {
+        telemetry::RequestState state{};
+        if (!telemetry::DecodeProgress(frame.payload, id, state)) break;
+        sequences_[id] += state == telemetry::RequestState::kQueued     ? 'Q'
+                          : state == telemetry::RequestState::kAttached ? 'A'
+                                                                        : 'R';
+        return std::nullopt;
+      }
+      case SpecMsgType::kResult: {
+        telemetry::ResultSource source{};
+        std::string bytes;
+        if (!telemetry::DecodeResult(frame.payload, id, source, bytes)) break;
+        sequences_[id] += 'D';
+        return id;
+      }
+      case SpecMsgType::kReject: {
+        RejectReason reason{};
+        std::string detail;
+        if (!telemetry::DecodeReject(frame.payload, id, reason, detail)) break;
+        sequences_[id] += 'X';
+        return id;
+      }
+      default:
+        return std::nullopt;
+    }
+    error_ = "undecodable frame";
+    return std::nullopt;
+  }
+
+  int fd_{-1};
+  std::string error_;
+  telemetry::FrameReader reader_;
+  std::uint64_t next_id_{1};
+  std::map<std::uint64_t, std::string> sequences_;
+};
+
+/// Exactly one Queued|Attached (or a lone Reject), at most one Running
+/// after it, and exactly one terminal frame, which comes last.
+void ExpectWellOrdered(const std::map<std::uint64_t, std::string>& sequences,
+                       std::size_t requests) {
+  static const std::regex kOrder("[QA]R?D|X");
+  EXPECT_EQ(sequences.size(), requests);
+  for (const auto& [id, seq] : sequences) {
+    EXPECT_TRUE(std::regex_match(seq, kOrder)) << "request " << id << " got " << seq;
+  }
+}
+
+TEST(ServeServer, PerRequestFrameOrderHolds) {
+  ServerConfig cfg;
+  cfg.cache_dir = MakeCacheDir("frame_order");
+  TestServer server(cfg);
+  const std::vector<WireSpec> specs = EightSpecs();
+
+  // Cold batch with every spec twice: the second copy is admitted while the
+  // first is still simulating, so it attaches (single-flight).
+  FrameRecorder cold(server.port());
+  ASSERT_EQ(cold.error(), "");
+  std::vector<WireSpec> doubled = specs;
+  doubled.insert(doubled.end(), specs.begin(), specs.end());
+  cold.SubmitBatch(doubled);
+  cold.Flush();
+  ASSERT_EQ(cold.error(), "");
+  ExpectWellOrdered(cold.sequences(), doubled.size());
+  std::size_t attached = 0;
+  for (const auto& [id, seq] : cold.sequences()) attached += seq.front() == 'A' ? 1 : 0;
+  EXPECT_EQ(attached, specs.size());
+
+  // Warm rounds from two connections at once: every flight is a store hit,
+  // so workers race the connection's own admission frames. Each batch also
+  // repeats two specs, which attach whenever their twin is still in flight.
+  constexpr int kClients = 2;
+  constexpr int kRounds = 150;
+  std::vector<std::unique_ptr<FrameRecorder>> warm;
+  for (int c = 0; c < kClients; ++c) {
+    warm.push_back(std::make_unique<FrameRecorder>(server.port()));
+    ASSERT_EQ(warm.back()->error(), "");
+  }
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<WireSpec> batch;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+          batch.push_back(specs[(i + static_cast<std::size_t>(round + c)) % specs.size()]);
+        }
+        batch.push_back(batch[0]);
+        batch.push_back(batch[1]);
+        warm[c]->SubmitBatch(batch);
+      }
+      warm[c]->Flush();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& recorder : warm) {
+    ASSERT_EQ(recorder->error(), "");
+    ExpectWellOrdered(recorder->sequences(), kRounds * (specs.size() + 2));
+    for (const auto& [id, seq] : recorder->sequences()) {
+      EXPECT_NE(seq.back(), 'X') << "warm request " << id << " was rejected";
+    }
+  }
+}
+
+TEST(ServeServer, WarmStoreHitsDoNotStall) {
+  ServerConfig cfg;
+  cfg.cache_dir = MakeCacheDir("warm_stall");
+  TestServer server(cfg);
+  Client client(ClientOpts(server.port(), "warm"));
+  std::string err;
+  ASSERT_TRUE(client.Connect(&err)) << err;
+  const std::vector<WireSpec> specs = EightSpecs();
+  std::vector<Client::Outcome> outcomes;
+  ASSERT_TRUE(client.SubmitAndWait(specs, outcomes, &err)) << err;  // fills the store
+
+  // A Nagle / delayed-ACK stall costs ~40 ms per batch (50 batches ~2 s);
+  // without it a warm batch is a few hundred microseconds.
+  constexpr int kBatches = 50;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int b = 0; b < kBatches; ++b) {
+    ASSERT_TRUE(client.SubmitAndWait(specs, outcomes, &err)) << err;
+    for (const auto& o : outcomes) {
+      ASSERT_TRUE(o.ok);
+      EXPECT_EQ(o.source, telemetry::ResultSource::kStoreHit);
+    }
+  }
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_LT(elapsed_s, 1.0) << kBatches << " warm batches of " << specs.size();
+}
+
+std::size_t OpenFdCount() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : fs::directory_iterator("/proc/self/fd")) ++n;
+  return n;
+}
+
+TEST(ServeServer, ClosedConnectionsReleaseTheirDescriptors) {
+  TestServer server(ServerConfig{});
+  std::string err;
+  {
+    Client first(ClientOpts(server.port(), "first"));
+    ASSERT_TRUE(first.Connect(&err)) << err;
+  }
+  const std::size_t before = OpenFdCount();
+  for (int i = 0; i < 300; ++i) {
+    Client client(ClientOpts(server.port(), "churn"));
+    ASSERT_TRUE(client.Connect(&err)) << err;
+  }
+  // The daemon reaps a finished connection on its next accept, so only the
+  // last few (whose reader had not exited yet) may still hold a descriptor.
+  EXPECT_LE(OpenFdCount(), before + 16);
 }
 
 }  // namespace
