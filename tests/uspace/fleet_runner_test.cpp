@@ -2,10 +2,13 @@
 //   1. a fleet run reproduces MultiUavRunner bit-for-bit — outcomes,
 //      durations, conflict events, broker counters — when relaunch is off;
 //   2. the output is byte-identical across thread counts and batch sizes;
-//   3. continuous-traffic mode actually produces traffic, deterministically;
+//   3. continuous-traffic mode actually produces traffic, deterministically,
+//      and its output is pinned to a constant fingerprint;
 //   4. fleet experiments cache and dedupe through the ResultStore.
 #include "uspace/fleet_runner.h"
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -217,6 +220,56 @@ TEST(FleetRunner, RelaunchModeProducesContinuousTraffic) {
   cfg2.batch_size = 2;
   ExpectIdenticalFleetOutputs(out, FleetRunner(cfg2).Run(fleet, 2024),
                               "relaunch threads=4 batch=2");
+}
+
+/// FNV-1a over everything a relaunch run decides: per-flight outcome,
+/// duration and launch time, then every conflict event. Doubles fold in as
+/// their bit patterns, so the pin is byte-exact.
+std::uint64_t RelaunchFingerprint(const FleetRunOutput& out) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xFF)) * 1099511628211ULL;
+  };
+  const auto mix_d = [&mix](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
+  mix(out.drones.size());
+  for (const auto& d : out.drones) {
+    mix(static_cast<std::uint64_t>(d.drone_id));
+    mix(static_cast<std::uint64_t>(d.outcome));
+    mix_d(d.flight_duration_s);
+    mix_d(d.launch_time_s);
+  }
+  mix(out.events.size());
+  for (const auto& e : out.events) {
+    mix(static_cast<std::uint64_t>(e.drone_a));
+    mix(static_cast<std::uint64_t>(e.drone_b));
+    mix(static_cast<std::uint64_t>(e.severity));
+    mix_d(e.start_time);
+    mix_d(e.end_time);
+    mix_d(e.min_separation_m);
+  }
+  return h;
+}
+
+TEST(FleetRunner, RelaunchOutputIsPinned) {
+  // Continuous traffic with refilled lanes in partly-filled groups (12
+  // drones in groups of 5, 5 and 2) on two workers. Short legs end flights
+  // inside the horizon, so lanes are refilled mid-run; the faulted drone
+  // drifts into a neighbour's lane, so conflict events are pinned too.
+  const auto fleet = BuildConvoyScenario(12, 30.0, 12.0, 200.0);
+  FleetRunConfig cfg;
+  cfg.relaunch_horizon_s = 120.0;
+  cfg.batch_size = 5;
+  cfg.num_threads = 2;
+  cfg.fault = ConvoyFault();
+  cfg.fault->start_time_s = 15.0;
+  cfg.faulted_drone = 4;
+  const auto out = FleetRunner(cfg).Run(fleet, 2024);
+
+  EXPECT_EQ(out.drones.size(), 25u);
+  EXPECT_EQ(out.relaunches, 13);
+  EXPECT_EQ(out.events.size(), 2u);
+  EXPECT_EQ(RelaunchFingerprint(out), 0xbbecb30df2b6ba1eULL)
+      << std::hex << "fingerprint 0x" << RelaunchFingerprint(out);
 }
 
 TEST(FleetExperiment, ConvoyHomesRoundTripThroughProjection) {
