@@ -238,8 +238,8 @@ int CmdCampaign(const app::CommandLine& cl) {
   const api::CampaignConfig env = api::CampaignConfig::FromEnvironment();
   api::CampaignConfig::Builder builder(env);
   builder.Missions(cl.FlagInt("missions", env.mission_limit))
-      .Threads(cl.FlagInt("threads", env.num_threads))
-      .Batch(cl.FlagInt("batch", env.batch_size));
+      .Threads(cl.FlagInt("threads", env.num_threads));
+  if (cl.HasFlag("batch")) core::WarnBatchDeprecated("--batch");
   if (const auto d = cl.Flag("durations")) {
     const auto list = app::ParseDoubleList(*d);
     if (!list.empty()) builder.Durations(list);
@@ -679,7 +679,13 @@ int CmdFleet(const app::CommandLine& cl) {
 
   uspace::FleetCampaign campaign(cfg);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto results = campaign.Run(specs);
+  std::vector<uspace::FleetCampaign::Result> results;
+  try {
+    results = campaign.Run(specs);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fleet: %s\n", e.what());
+    return 2;
+  }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   const telemetry::FleetRecord& rec = results.back().record;
@@ -730,7 +736,7 @@ int CmdFleet(const app::CommandLine& cl) {
                  static_cast<unsigned long long>(cs.stores));
   }
 
-  // --oracle: cross-check the batched engine against the scalar runner and
+  // --oracle: cross-check the grouped runner against the scalar runner and
   // the grid broadphase against brute force on this exact experiment.
   if (cl.HasFlag("oracle")) {
     if (spec.relaunch_horizon_s > 0.0) {
@@ -852,7 +858,8 @@ const Command kCommands[] = {
      "run the grid, print Tables II-IV",
      "Completed runs persist to the cache (also via UAVRES_CACHE_DIR) so an\n"
      "interrupted campaign resumes. --recovery on adds the IMU-fault detector\n"
-     "+ estimator failover and prints the recovery table.",
+     "+ estimator failover and prints the recovery table. --batch N is\n"
+     "deprecated: accepted, ignored, with a warning.",
      CmdCampaign},
     {"serve",
      "[--host H] [--port N] [--threads N] [--queue N] [--cache-dir DIR]\n"
@@ -884,15 +891,15 @@ const Command kCommands[] = {
      "       [--recovery on|off] [--drop P] [--delay S] [--relaunch-horizon S]\n"
      "       [--seed N] [--threads N] [--batch N] [--broadphase grid|brute]\n"
      "       [--oracle] [--no-baseline] [--cache-dir DIR] [--no-cache]",
-     "fleet-scale airspace experiment on the batched engine",
-     "Runs N drones through the batched fleet engine (grouped SoA stepping on\n"
-     "the work-stealing scheduler, uniform-grid conflict broadphase) and\n"
-     "reports systemic impact vs the fault-free baseline: conflict/alert\n"
-     "counts, cascade size, min-separation distribution and airspace\n"
-     "throughput. --relaunch-horizon S keeps the airspace full by refilling\n"
-     "ended flights until T=S (continuous traffic). Results are cached by\n"
-     "fleet spec (also via UAVRES_CACHE_DIR). --oracle cross-checks the run\n"
-     "against the scalar MultiUavRunner bit-for-bit. See DESIGN.md §18.",
+     "fleet-scale airspace experiment in lockstep drone groups",
+     "Runs N drones in lockstep groups of --batch N vehicles (default 16)\n"
+     "on the work-stealing scheduler, with a uniform-grid conflict\n"
+     "broadphase, and reports systemic impact vs the fault-free baseline:\n"
+     "conflict/alert counts, cascade size, min-separation distribution and\n"
+     "airspace throughput. --relaunch-horizon S keeps the airspace full by\n"
+     "refilling ended flights until T=S (continuous traffic). Results are\n"
+     "cached by fleet spec (also via UAVRES_CACHE_DIR). --oracle cross-checks\n"
+     "the run against the scalar MultiUavRunner bit-for-bit. See DESIGN.md §18.",
      CmdFleet},
     {"convoy", "[--spacing M] [--drones N]", "multi-UAV U-space conflict demo", "",
      CmdConvoy},

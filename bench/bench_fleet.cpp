@@ -3,7 +3,7 @@
 // Two measurements back the fleet engine's claims (DESIGN.md §18):
 //
 //   1. Drone-steps/sec at N drones: the scalar MultiUavRunner loop vs the
-//      FleetRunner (grouped SoA batches on the work-stealing scheduler).
+//      FleetRunner (lockstep groups on the work-stealing scheduler).
 //      Both runs step the identical fleet, so the speedup is a pure wall
 //      ratio — and the outputs must match bit-for-bit (oracle_ok), which is
 //      what licenses comparing them at all. The >=5x headline needs cores;
@@ -44,7 +44,7 @@ double Now() {
 
 /// Total simulated drone-steps of a run: sum of per-flight durations over
 /// the shared control dt. Bit-identical outputs make this identical for the
-/// scalar and batched engines, so steps/sec ratios are wall ratios.
+/// scalar and grouped runners, so steps/sec ratios are wall ratios.
 double TotalDroneSteps(const std::vector<double>& durations, double dt) {
   double total = 0.0;
   for (double d : durations) total += d / dt;
@@ -171,13 +171,13 @@ int main(int argc, char** argv) {
   std::printf("  scalar : %8.2f s wall, %.0f drone-steps (%.3g steps/s)\n", sm.wall_s,
               steps, sm.steps_per_sec);
 
-  // Batched fleet engine, full machine.
+  // Grouped fleet runner, full machine.
   uspace::FleetRunConfig fcfg;
   fcfg.fault = fault;
   fcfg.faulted_drone = drones / 2;
   fcfg.num_threads = threads;
   t0 = Now();
-  const auto batched = uspace::FleetRunner(fcfg).Run(fleet, 2024);
+  const auto grouped = uspace::FleetRunner(fcfg).Run(fleet, 2024);
   FleetMeasurement fm;
   fm.wall_s = Now() - t0;
   fm.steps_per_sec = steps / fm.wall_s;
@@ -185,16 +185,16 @@ int main(int argc, char** argv) {
   std::printf("  fleet  : %8.2f s wall (%.3g steps/s, %.2fx)\n", fm.wall_s,
               fm.steps_per_sec, speedup);
 
-  // Oracle: the batched run must reproduce the scalar one bit-for-bit.
-  bool oracle_ok = scalar.drones.size() == batched.drones.size() &&
-                   scalar.conflicts.conflicts == batched.conflicts.conflicts &&
-                   scalar.conflicts.alerts == batched.conflicts.alerts &&
-                   scalar.reports_published == batched.reports_published &&
-                   SameEvents(scalar.events, batched.events);
+  // Oracle: the grouped run must reproduce the scalar one bit-for-bit.
+  bool oracle_ok = scalar.drones.size() == grouped.drones.size() &&
+                   scalar.conflicts.conflicts == grouped.conflicts.conflicts &&
+                   scalar.conflicts.alerts == grouped.conflicts.alerts &&
+                   scalar.reports_published == grouped.reports_published &&
+                   SameEvents(scalar.events, grouped.events);
   for (std::size_t i = 0; oracle_ok && i < scalar.drones.size(); ++i) {
-    oracle_ok = scalar.drones[i].outcome == batched.drones[i].outcome &&
+    oracle_ok = scalar.drones[i].outcome == grouped.drones[i].outcome &&
                 scalar.drones[i].flight_duration_s ==
-                    batched.drones[i].flight_duration_s;
+                    grouped.drones[i].flight_duration_s;
   }
   std::printf("  oracle : %s\n", oracle_ok ? "MATCH" : "MISMATCH");
 

@@ -6,23 +6,22 @@
 //
 //   1. Campaign throughput — wall time and runs/sec of the (optionally
 //      mission-limited) fault grid through the work-stealing scheduler,
-//      caching disabled so every run is computed. Measured twice: the scalar
-//      path (batch_size 1) and the batched lockstep path (--batch lanes per
-//      worker deal, default 8), reported as "campaign" / "campaign_batched".
+//      caching disabled so every run is computed ("campaign").
 //   2. Step latency — per-step wall latency of one gold flight stepping the
 //      Uav directly (p50/p99/mean in microseconds), plus the per-lane step
-//      latency of a BatchedUav fleet in cruise, plus a detector-enabled
-//      repeat of the scalar flight ("step_latency_detector") whose delta is
-//      the per-step cost of the IMU-fault detection + failover layer.
+//      latency of an 8-lane lockstep BatchedUav group in cruise (the group
+//      FleetRunner steps), plus a detector-enabled repeat of the scalar
+//      flight ("step_latency_detector") whose delta is the per-step cost of
+//      the IMU-fault detection + failover layer.
 //   3. Steady-state allocations — this binary replaces global operator
 //      new/delete with counting wrappers; after a warm-up the cruise phase
-//      of a gold flight must execute ZERO heap allocations per step, scalar
-//      AND batched. The same counter reports allocations per campaign run
-//      for context.
+//      of a gold flight must execute ZERO heap allocations per step, alone
+//      AND in the lockstep group. The same counter reports allocations per
+//      campaign run for context.
 //
 // Usage: bench_throughput [--missions N] [--threads N] [--durations a,b,...]
-//                         [--batch N] [--out FILE]
-// Env:   UAVRES_MISSIONS / UAVRES_THREADS / UAVRES_BATCH as usual (flags win).
+//                         [--out FILE]
+// Env:   UAVRES_MISSIONS / UAVRES_THREADS as usual (flags win).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -169,7 +168,7 @@ struct BatchStepStats {
 /// A gold fleet (mission 0, one seed per lane) stepped in lockstep through
 /// its cruise phase: per-LANE step latency (one BatchedUav::Step advances
 /// `lanes` vehicles) and the steady-state allocation count, which must be
-/// zero exactly like the scalar path.
+/// zero exactly like a lone vehicle's.
 BatchStepStats MeasureBatchSteps(int lanes) {
   const auto& fleet = core::SharedValenciaScenario();
   const core::DroneSpec& spec = fleet[0];
@@ -233,11 +232,10 @@ int main(int argc, char** argv) {
     if (!list.empty()) builder.Durations(list);
   }
   const core::CampaignConfig cfg = builder.Build();
-  const int batch_lanes = std::clamp(cl.FlagInt("batch", env.batch_size > 1 ? env.batch_size : 8),
-                                     2, uav::kMaxBatchLanes);
+  constexpr int kGroupLanes = 8;
   const std::string out_path = cl.Flag("out").value_or("BENCH_campaign.json");
 
-  // --- 1a. Campaign throughput, scalar path. ---
+  // --- 1. Campaign throughput. ---
   const core::Campaign campaign(cfg);
   const std::uint64_t campaign_allocs_before = AllocCount();
   const auto t0 = std::chrono::steady_clock::now();
@@ -248,22 +246,10 @@ int main(int argc, char** argv) {
   const std::size_t runs = results.TotalRuns();
   const double runs_per_sec = runs > 0 && wall_s > 0.0 ? runs / wall_s : 0.0;
 
-  // --- 1b. Campaign throughput, batched lockstep path (same grid). ---
-  const core::CampaignConfig batched_cfg =
-      core::CampaignConfig::Builder(cfg).Batch(batch_lanes).Build();
-  const core::Campaign batched_campaign(batched_cfg);
-  const auto tb0 = std::chrono::steady_clock::now();
-  const auto batched_results = batched_campaign.Run();
-  const double batched_wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - tb0).count();
-  const std::size_t batched_runs = batched_results.TotalRuns();
-  const double batched_runs_per_sec =
-      batched_runs > 0 && batched_wall_s > 0.0 ? batched_runs / batched_wall_s : 0.0;
-
   // --- 2 + 3. Step latency and steady-state allocations. ---
   const StepStats steps = MeasureSteps();
   const StepStats detector_steps = MeasureSteps(/*detector=*/true);
-  const BatchStepStats batch_steps = MeasureBatchSteps(batch_lanes);
+  const BatchStepStats batch_steps = MeasureBatchSteps(kGroupLanes);
   const double detector_overhead_pct =
       steps.mean_us > 0.0
           ? 100.0 * (detector_steps.mean_us - steps.mean_us) / steps.mean_us
@@ -291,13 +277,6 @@ int main(int argc, char** argv) {
                "    \"runs_per_sec\": %.4f,\n"
                "    \"mean_run_ms\": %.3f,\n"
                "    \"allocs_per_run\": %.1f\n"
-               "  },\n"
-               "  \"campaign_batched\": {\n"
-               "    \"batch\": %d,\n"
-               "    \"runs\": %zu,\n"
-               "    \"wall_s\": %.3f,\n"
-               "    \"runs_per_sec\": %.4f,\n"
-               "    \"mean_run_ms\": %.3f\n"
                "  },\n"
                "  \"step_latency_us\": {\n"
                "    \"p50\": %.3f,\n"
@@ -332,8 +311,6 @@ int main(int argc, char** argv) {
                campaign.fleet().size(), cfg.durations.size(), runs, wall_s,
                runs_per_sec, runs > 0 ? 1000.0 * wall_s / runs : 0.0,
                runs > 0 ? static_cast<double>(campaign_allocs) / runs : 0.0,
-               batch_lanes, batched_runs, batched_wall_s, batched_runs_per_sec,
-               batched_runs > 0 ? 1000.0 * batched_wall_s / batched_runs : 0.0,
                steps.p50_us, steps.p99_us, steps.mean_us,
                static_cast<unsigned long long>(steps.steps),
                detector_steps.p50_us, detector_steps.p99_us, detector_steps.mean_us,
@@ -351,10 +328,6 @@ int main(int argc, char** argv) {
 
   std::printf("campaign   : %zu runs in %.2fs  (%.2f runs/sec, %.1f ms/run)\n", runs,
               wall_s, runs_per_sec, runs > 0 ? 1000.0 * wall_s / runs : 0.0);
-  std::printf("batched    : %zu runs in %.2fs  (%.2f runs/sec, %.1f ms/run, batch %d)\n",
-              batched_runs, batched_wall_s, batched_runs_per_sec,
-              batched_runs > 0 ? 1000.0 * batched_wall_s / batched_runs : 0.0,
-              batch_lanes);
   std::printf("step       : p50 %.2fus  p99 %.2fus  mean %.2fus  (%llu steps)\n",
               steps.p50_us, steps.p99_us, steps.mean_us,
               static_cast<unsigned long long>(steps.steps));
@@ -375,7 +348,7 @@ int main(int argc, char** argv) {
 
   // The zero-allocation hot path is an acceptance criterion, not a soft
   // metric: fail loudly the moment a per-step allocation sneaks back in —
-  // scalar or batched.
+  // alone or in the lockstep group.
   if (steps.steady_allocs != 0) {
     std::fprintf(stderr,
                  "bench_throughput: FAIL — steady-state flight performed %llu heap "
@@ -392,7 +365,7 @@ int main(int argc, char** argv) {
   }
   if (batch_steps.steady_allocs != 0) {
     std::fprintf(stderr,
-                 "bench_throughput: FAIL — steady-state batched flight performed %llu "
+                 "bench_throughput: FAIL — steady-state lockstep group performed %llu "
                  "heap allocations (expected 0)\n",
                  static_cast<unsigned long long>(batch_steps.steady_allocs));
     return 1;

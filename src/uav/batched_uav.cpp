@@ -1,106 +1,15 @@
 #include "uav/batched_uav.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace uavres::uav {
 
-// One lane's module stack — the scalar Uav's members with the estimator
-// replaced by the batch bridge and the schedule split at the commit barrier.
-// Construction order, init sequence and per-step module order are copied
-// from Uav::Uav / Uav::Step verbatim; equivalence depends on it.
-struct BatchedUav::Lane {
-  UavConfig cfg;
-  int gps_divider;
-  int baro_divider;
-  int mag_divider;
-
-  bus::FlightBus bus;
-  telemetry::FlightLog log;
-
-  ImuModule imu_mod;
-  GpsModule gps_mod;
-  BaroModule baro_mod;
-  MagModule mag_mod;
-  BatchEstimatorBridge estimator;
-  HealthModule health_mod;
-  CommanderModule commander_mod;
-  ControlCascadeModule control_mod;
-  PhysicsModule physics;
-  BatteryModule battery_mod;
-  FaultInterceptorStage faults;
-  // After faults: same registration-order requirement as the scalar Uav.
-  DetectorStage detectors;
-
-  // The scalar schedule split at the estimator: `pre` ends with the bridge
-  // staging this lane's samples, `post` starts with the module that follows
-  // the estimator. BatchedUav runs pre for all lanes, commits the batch,
-  // then publishes estimates and runs post — same per-lane order as Uav.
-  bus::Schedule pre;
-  bus::Schedule post;
-
-  Lane(estimation::EkfBatch* batch, int lane_index, const UavConfig& cfg_in,
-       const nav::MissionPlan& plan, std::optional<core::FaultSpec> fault,
-       std::uint64_t seed)
-      : cfg(cfg_in),
-        gps_divider(RateDivider(cfg.control_rate_hz, cfg.gps.rate_hz)),
-        baro_divider(RateDivider(cfg.control_rate_hz, cfg.baro.rate_hz)),
-        mag_divider(RateDivider(cfg.control_rate_hz, cfg.mag.rate_hz)),
-        imu_mod(cfg.imu_noise, cfg.imu_ranges, seed, &bus),
-        gps_mod(cfg.gps, seed, &bus),
-        baro_mod(cfg.baro, baro_divider, seed, &bus),
-        mag_mod(cfg.mag, seed, &bus),
-        estimator(batch, lane_index, &bus),
-        health_mod(cfg.health, &bus, &log),
-        commander_mod(plan, cfg.commander, &bus, &log),
-        control_mod(PositionControlWithHoverThrust(cfg), cfg.attitude_control,
-                    cfg.rate_control, control::MixerConfigFromQuadrotor(cfg.airframe),
-                    &bus),
-        physics(cfg, seed, &bus, &log),
-        battery_mod(cfg.battery, &bus),
-        faults(cfg, fault, seed, &bus, &log),
-        detectors(cfg.detector, cfg.control_rate_hz, &bus, &log) {
-    const math::Vec3 start = plan.home;
-    const double yaw0 = InitialMissionYaw(plan);
-    physics.Reset(start, yaw0, 0.0);
-    estimator.Init(start, yaw0);
-    if (detectors.enabled()) estimator.AttachFailover(&detectors.detector());
-    battery_mod.PublishState(0.0);
-    bus.imu_select.Publish({health_mod.monitor().active_imu_unit()}, 0.0);
-
-    pre.Add(&imu_mod);
-    pre.Add(&gps_mod, gps_divider);
-    pre.Add(&baro_mod, baro_divider);
-    pre.Add(&mag_mod, mag_divider);
-    pre.Add(&estimator);
-    post.Add(&health_mod);
-    post.Add(&commander_mod);
-    post.Add(&control_mod);
-    post.Add(&physics);
-    post.Add(&battery_mod);
-  }
-};
-
-BatchedUav::BatchedUav() = default;
-BatchedUav::~BatchedUav() = default;
-
 int BatchedUav::AddLane(const UavConfig& cfg, const nav::MissionPlan& plan,
                         std::optional<core::FaultSpec> fault, std::uint64_t seed) {
-  assert(pool_.lanes < kMaxLanes);
-  const double lane_dt = 1.0 / cfg.control_rate_hz;
-  if (pool_.lanes == 0) {
-    dt_ = lane_dt;
-  } else {
-    assert(lane_dt == dt_ && "all lanes in a batch share one control clock");
-    (void)lane_dt;
-  }
-  const int lane = pool_.ekf.AddLane(cfg.ekf);
-  lanes_[static_cast<std::size_t>(lane)] =
-      std::make_unique<Lane>(&pool_.ekf, lane, cfg, plan, fault, seed);
-  pool_.active[static_cast<std::size_t>(lane)] = true;
-  pool_.lanes = pool_.ekf.lanes();
-  pool_.truth[static_cast<std::size_t>(lane)] =
-      lanes_[static_cast<std::size_t>(lane)]->physics.quad().state();
+  assert(lanes_ < kMaxLanes);
+  if (lanes_ == 0) dt_ = 1.0 / cfg.control_rate_hz;
+  const int lane = lanes_++;
+  Launch(lane, cfg, plan, std::move(fault), seed);
   return lane;
 }
 
@@ -108,81 +17,36 @@ void BatchedUav::RefillLane(int lane, const UavConfig& cfg,
                             const nav::MissionPlan& plan,
                             std::optional<core::FaultSpec> fault,
                             std::uint64_t seed) {
-  assert(lane >= 0 && lane < pool_.lanes);
-  assert(!pool_.active[static_cast<std::size_t>(lane)] &&
-         "refill requires a retired lane");
-  const double lane_dt = 1.0 / cfg.control_rate_hz;
-  assert(lane_dt == dt_ && "all lanes in a batch share one control clock");
-  (void)lane_dt;
-  pool_.ekf.ResetLane(lane, cfg.ekf);
-  lanes_[static_cast<std::size_t>(lane)] =
-      std::make_unique<Lane>(&pool_.ekf, lane, cfg, plan, fault, seed);
-  pool_.active[static_cast<std::size_t>(lane)] = true;
-  pool_.truth[static_cast<std::size_t>(lane)] =
-      lanes_[static_cast<std::size_t>(lane)]->physics.quad().state();
+  assert(lane >= 0 && lane < lanes_);
+  assert(!lane_active(lane) && "refill requires a retired lane");
+  Launch(lane, cfg, plan, std::move(fault), seed);
+}
+
+void BatchedUav::Launch(int lane, const UavConfig& cfg, const nav::MissionPlan& plan,
+                        std::optional<core::FaultSpec> fault, std::uint64_t seed) {
+  assert(1.0 / cfg.control_rate_hz == dt_ && "all lanes in a group share one control clock");
+  auto& vehicle = vehicles_[static_cast<std::size_t>(lane)];
+  vehicle.reset();  // free the retired flight before building its successor
+  vehicle = std::make_unique<Uav>(cfg, plan, std::move(fault), seed, step_count_);
+  active_[static_cast<std::size_t>(lane)] = true;
 }
 
 void BatchedUav::Step() {
   time_ = static_cast<double>(step_count_) * dt_;
-  pool_.ekf.BeginStep();
-  for (int l = 0; l < pool_.lanes; ++l) {
-    if (!pool_.active[static_cast<std::size_t>(l)]) continue;
-    lanes_[static_cast<std::size_t>(l)]->pre.RunStep(step_count_, time_, dt_);
-  }
-  pool_.ekf.Commit();
-  const bus::StepInfo info{step_count_, time_, dt_};
-  for (int l = 0; l < pool_.lanes; ++l) {
-    if (!pool_.active[static_cast<std::size_t>(l)]) continue;
-    Lane& lane = *lanes_[static_cast<std::size_t>(l)];
-    lane.estimator.PublishEstimate(info);
-    lane.post.RunStep(step_count_, time_, dt_);
-    pool_.truth[static_cast<std::size_t>(l)] = lane.physics.quad().state();
+  for (int l = 0; l < lanes_; ++l) {
+    if (!lane_active(l)) continue;
+    Uav& vehicle = *vehicles_[static_cast<std::size_t>(l)];
+    assert(vehicle.step_count() == step_count_);
+    vehicle.Step();
   }
   ++step_count_;
 }
 
-void BatchedUav::Retire(int lane) {
-  pool_.active[static_cast<std::size_t>(lane)] = false;
-}
-
-const sim::Quadrotor& BatchedUav::quad(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->physics.quad();
-}
-
-const nav::Commander& BatchedUav::commander(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->commander_mod.commander();
-}
-
-const nav::HealthMonitor& BatchedUav::health(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->health_mod.monitor();
-}
-
-const nav::CrashDetector& BatchedUav::crash_detector(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->physics.crash_detector();
-}
-
-const telemetry::FlightLog& BatchedUav::log(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->log;
-}
-
-bool BatchedUav::fault_active(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->faults.AnyImuActiveAt(time_);
-}
-
-bool BatchedUav::airborne_seen(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->physics.airborne_seen();
-}
-
-double BatchedUav::last_thrust_cmd(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->bus.actuator.Latest().collective;
-}
-
-const estimation::ImuFaultDetector& BatchedUav::detector(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->detectors.detector();
-}
-
-bool BatchedUav::detector_enabled(int lane) const {
-  return lanes_[static_cast<std::size_t>(lane)]->detectors.enabled();
+bool BatchedUav::AnyActive() const {
+  for (int l = 0; l < lanes_; ++l) {
+    if (lane_active(l)) return true;
+  }
+  return false;
 }
 
 }  // namespace uavres::uav

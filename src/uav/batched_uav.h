@@ -1,17 +1,10 @@
-// Batched vehicle assembly: up to FleetPool::kMaxLanes independent vehicles
-// stepped in lockstep on one clock (DESIGN.md §14).
+// Lockstep group of scalar vehicles (DESIGN.md §14, §18).
 //
-// Each lane owns the full scalar module stack — its own FlightBus, sensors,
-// fault interceptors, health, commander, control, physics and battery — so
-// per-lane behavior is the unmodified reference code. Only the estimator
-// differs: lanes stage samples into a shared EkfBatch through a
-// BatchEstimatorBridge, and one Commit() per step propagates every lane's
-// covariance through the vectorized SoA kernel. A step runs each lane's
-// pre-estimator schedule (sensing + staging), the batch commit, then each
-// lane's estimate publish and post-estimator schedule; within a lane the
-// module order and StepInfo are exactly the scalar Uav's, so every topic,
-// RNG draw and log line is bit-identical to stepping that lane alone
-// (tests/integration/campaign_batch_equivalence_test.cpp).
+// Up to kMaxLanes independent uav::Uav lanes share one clock: each Step()
+// advances every active lane one control period, in lane order. A lane is
+// the unmodified scalar vehicle, so its flight is bit-identical to stepping
+// it alone. uspace::FleetRunner steps its drones in these groups, one group
+// per work item, and refills lanes whose flights ended.
 #pragma once
 
 #include <array>
@@ -20,85 +13,56 @@
 #include <optional>
 
 #include "nav/mission.h"
-#include "uav/fleet_pool.h"
-#include "uav/modules.h"
+#include "uav/uav.h"
 #include "uav/uav_config.h"
 
 namespace uavres::uav {
 
-/// A fixed-capacity batch of vehicles advanced in lockstep. Lanes are added
+/// A fixed-capacity group of vehicles advanced in lockstep. Lanes are added
 /// before stepping begins and retired individually as their runs end; the
-/// batch keeps stepping while any lane is active.
+/// group keeps stepping while any lane is active.
 class BatchedUav {
  public:
-  static constexpr int kMaxLanes = FleetPool::kMaxLanes;
+  static constexpr int kMaxLanes = 16;
 
-  BatchedUav();
-  ~BatchedUav();
-  BatchedUav(const BatchedUav&) = delete;
-  BatchedUav& operator=(const BatchedUav&) = delete;
-
-  /// Adds one vehicle and returns its lane index. All lanes share the batch
+  /// Adds one vehicle and returns its lane index. All lanes share the group
   /// clock, so every lane must use the same control rate as the first.
   int AddLane(const UavConfig& cfg, const nav::MissionPlan& plan,
               std::optional<core::FaultSpec> fault, std::uint64_t seed);
 
-  /// Rebuilds a retired lane with a fresh vehicle and reactivates it — the
-  /// fleet runner's relaunch path, closing the lane-occupancy gap left when
-  /// drones end mid-batch. The new vehicle's modules join the shared clock
-  /// at the current step count (its sensors keep the batch's rate-divider
-  /// phase), so a refilled lane is a new flight on the running clock, not a
-  /// rewind. Requires `!lane_active(lane)` and the batch's control rate.
+  /// Replaces a retired lane with a fresh vehicle and reactivates it. The
+  /// new vehicle joins the group clock at the current step count (its
+  /// sensors keep the group's rate-divider phase), so a refilled lane is a
+  /// new flight on the running clock, not a rewind. Requires
+  /// `!lane_active(lane)` and the group's control rate.
   void RefillLane(int lane, const UavConfig& cfg, const nav::MissionPlan& plan,
                   std::optional<core::FaultSpec> fault, std::uint64_t seed);
 
   /// Advance every active lane one control period.
   void Step();
 
-  /// Stop stepping a lane (its run ended); state freezes and stays readable.
-  void Retire(int lane);
+  /// Stop stepping a lane (its run ended); its vehicle freezes and stays
+  /// readable through lane().
+  void Retire(int lane) { active_[static_cast<std::size_t>(lane)] = false; }
 
-  int lanes() const { return pool_.lanes; }
-  bool lane_active(int lane) const { return pool_.active[static_cast<std::size_t>(lane)]; }
-  bool AnyActive() const { return pool_.AnyActive(); }
+  bool lane_active(int lane) const { return active_[static_cast<std::size_t>(lane)]; }
+  bool AnyActive() const;
 
+  /// Start time of the last Step() (the lanes' common Uav::time()).
   double time() const { return time_; }
-  double dt() const { return dt_; }
 
-  const FleetPool& pool() const { return pool_; }
-
-  // Per-lane views mirroring the scalar Uav façade.
-  const sim::Quadrotor& quad(int lane) const;
-  const estimation::Ekf& ekf(int lane) const { return pool_.ekf.lane(lane); }
-
-  /// Estimated-state tap for tracking reports: the lane's self-reported
-  /// (EKF) position/velocity straight off the batch, no allocation, no
-  /// scalar façade — what a fleet run publishes to U-space each tracking
-  /// instant (faults corrupt these, and therefore the airspace picture).
-  const math::Vec3& estimated_pos(int lane) const {
-    return pool_.ekf.lane(lane).state().pos;
-  }
-  const math::Vec3& estimated_vel(int lane) const {
-    return pool_.ekf.lane(lane).state().vel;
-  }
-  const nav::Commander& commander(int lane) const;
-  const nav::HealthMonitor& health(int lane) const;
-  const nav::CrashDetector& crash_detector(int lane) const;
-  const telemetry::FlightLog& log(int lane) const;
-  bool fault_active(int lane) const;
-  bool airborne_seen(int lane) const;
-  double last_thrust_cmd(int lane) const;
-  const estimation::ImuFaultDetector& detector(int lane) const;
-  bool detector_enabled(int lane) const;
+  const Uav& lane(int lane) const { return *vehicles_[static_cast<std::size_t>(lane)]; }
 
  private:
-  struct Lane;
+  void Launch(int lane, const UavConfig& cfg, const nav::MissionPlan& plan,
+              std::optional<core::FaultSpec> fault, std::uint64_t seed);
 
   double dt_{0.0};
   double time_{0.0};
   std::int64_t step_count_{0};
-  FleetPool pool_;
-  std::array<std::unique_ptr<Lane>, kMaxLanes> lanes_;
+  int lanes_{0};
+  std::array<bool, kMaxLanes> active_{};
+  std::array<std::unique_ptr<Uav>, kMaxLanes> vehicles_;
 };
 
 }  // namespace uavres::uav

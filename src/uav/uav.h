@@ -50,8 +50,13 @@ enum class SnapshotSectionId : std::uint32_t {
 /// One simulated vehicle flying one mission, optionally under fault injection.
 class Uav {
  public:
+  /// `first_step` seeds the step counter: a vehicle launched into a running
+  /// lockstep group (BatchedUav::RefillLane) joins the group's clock, so its
+  /// first Step() runs at time first_step·dt with the group's sensor
+  /// rate-divider phase.
   Uav(const UavConfig& cfg, const nav::MissionPlan& plan,
-      std::optional<core::FaultSpec> fault, std::uint64_t seed);
+      std::optional<core::FaultSpec> fault, std::uint64_t seed,
+      std::int64_t first_step = 0);
 
   /// Advance one control period (one schedule pass over all due modules).
   void Step();
@@ -108,7 +113,7 @@ class Uav {
   UavConfig cfg_;
   double dt_;
   double time_{0.0};
-  std::int64_t step_count_{0};
+  std::int64_t step_count_;
   int gps_divider_;
   int baro_divider_;
   int mag_divider_;

@@ -1,4 +1,4 @@
-// Fleet experiments: spec -> scenario -> batched run -> cacheable record
+// Fleet experiments: spec -> scenario -> grouped run -> cacheable record
 // (DESIGN.md §18).
 //
 // This is the campaign-style execution surface for fleet-scale runs: a

@@ -1,11 +1,11 @@
-// Fleet-scale multi-UAV execution on the batched engine (DESIGN.md §18).
+// Fleet-scale multi-UAV execution in lockstep groups (DESIGN.md §18).
 //
 // FleetRunner is MultiUavRunner rebuilt for hundreds of drones: the fleet is
-// partitioned into groups of up to uav::BatchedUav::kMaxLanes vehicles, each
-// group stepped through the batched SoA engine, and — because drones couple
-// only through the U-space broker/tracker at the tracking cadence, never
-// inside a control step — every group advances one full tracking interval
-// independently. Intervals are therefore embarrassingly parallel: groups run
+// partitioned into groups of up to uav::BatchedUav::kMaxLanes scalar
+// vehicles, each group stepped in lockstep on one worker, and — because
+// drones couple only through the U-space broker/tracker at the tracking
+// cadence, never inside a control step — every group advances one full
+// tracking interval independently. Intervals are therefore embarrassingly parallel: groups run
 // on the work-stealing scheduler, then a serial boundary phase publishes
 // tracking reports, delivers the broker queue, steps the conflict detector
 // and (in continuous-traffic mode) refills lanes whose drones ended.
@@ -85,7 +85,7 @@ struct FleetRunOutput {
   double throughput_missions_per_hour{0.0};
 };
 
-/// Runs a fleet through grouped BatchedUavs in the scenario's shared frame.
+/// Runs a fleet as lockstep vehicle groups in the scenario's shared frame.
 class FleetRunner {
  public:
   explicit FleetRunner(const FleetRunConfig& cfg = {}) : cfg_(cfg) {}

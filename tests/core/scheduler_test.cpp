@@ -95,9 +95,9 @@ TEST(Scheduler, StarvationBigJobDoesNotSerializeGrid) {
   EXPECT_LE(wall_ms, 1.2 * 100.0) << "big job was starved behind cheap jobs";
 }
 
-// The batched campaign coarsens the faulty grid into per-batch jobs whose
-// scheduler cost is the SUM of the batch's lane costs (campaign.cpp). The
-// starvation bound must survive that coarsening: one expensive batch (e.g.
+// Coarse work items — a batch of runs dealt as one job — carry a scheduler
+// cost that is the SUM of their members' costs. The starvation bound must
+// survive that coarsening: one expensive batch (e.g.
 // eight long-mission lanes summed to 100 units) dealt alongside many cheap
 // batches must still bound the wall clock by the expensive batch itself,
 // not the serialized grid.

@@ -1,22 +1,20 @@
-// Batch-vs-scalar equivalence: the batched lockstep path (BatchedUav /
-// SimulationRunner::RunBatchInto / CampaignConfig::batch_size) must produce
-// BYTE-identical outputs to the scalar path at every batch size — including
-// the ragged final batch — so batching is purely an execution strategy.
+// The deprecated campaign batch knob (CampaignConfig::Builder::Batch,
+// UAVRES_BATCH, `uavres campaign --batch`) is accepted and ignored: every
+// campaign steps one scalar vehicle per run, so any batch value produces
+// BYTE-identical results and result-store keys to the default run.
 // Equality here is bit-pattern equality of every double, never tolerance.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "core/campaign.h"
-#include "core/scenario.h"
-#include "uav/simulation_runner.h"
 
 namespace uavres {
 namespace {
@@ -60,41 +58,6 @@ void Append(std::string& out, const core::MissionResult& r) {
   Append(out, r.crash_time_s);
 }
 
-// The COMPLETE RunOutput: result, every trajectory sample field, every log
-// event, every recorded invariant violation.
-std::string Fingerprint(const uav::RunOutput& out) {
-  std::string fp;
-  Append(fp, out.result);
-  fp += "|traj:";
-  for (const auto& s : out.trajectory.Samples()) {
-    Append(fp, s.t);
-    Append(fp, s.pos_true);
-    Append(fp, s.pos_est);
-    Append(fp, s.vel_true);
-    Append(fp, s.vel_est);
-    Append(fp, s.att_true.w);
-    Append(fp, s.att_true.x);
-    Append(fp, s.att_true.y);
-    Append(fp, s.att_true.z);
-    Append(fp, s.att_est.w);
-    Append(fp, s.att_est.x);
-    Append(fp, s.att_est.y);
-    Append(fp, s.att_est.z);
-    Append(fp, s.airspeed_est);
-    Append(fp, static_cast<int>(s.fault_active));
-  }
-  fp += "|log:";
-  for (const auto& e : out.log.Events()) {
-    Append(fp, e.t);
-    Append(fp, static_cast<int>(e.level));
-    fp += e.message + ";";
-  }
-  fp += "|viol:";
-  Append(fp, static_cast<int>(out.violations.size()));
-  Append(fp, static_cast<int>(out.total_violations));
-  return fp;
-}
-
 std::string Fingerprint(const core::CampaignResults& results) {
   std::string out;
   for (const auto& g : results.gold) {
@@ -125,137 +88,49 @@ std::set<std::string> StoreEntries(const fs::path& dir) {
   return names;
 }
 
-// The paper-figure experiments (bench/bench_fig3.cpp, bench/bench_fig4.cpp):
-// mission 9 under a fixed-value accelerometer fault and mission 7 under
-// random gyro values, both 30 s windows. These are the named scenarios the
-// ISSUE pins for spec-level equivalence.
-uav::ExperimentSpec Fig3Spec(const std::vector<core::DroneSpec>& fleet,
-                             const telemetry::Trajectory* gold) {
-  core::FaultSpec fault;
-  fault.target = core::FaultTarget::kAccelerometer;
-  fault.type = core::FaultType::kFixed;
-  fault.duration_s = 30.0;
-  return {fleet[9], 9, fault, 2024, gold};
+std::size_t CountOccurrences(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
 }
 
-uav::ExperimentSpec Fig4Spec(const std::vector<core::DroneSpec>& fleet,
-                             const telemetry::Trajectory* gold) {
-  core::FaultSpec fault;
-  fault.target = core::FaultTarget::kGyrometer;
-  fault.type = core::FaultType::kRandom;
-  fault.duration_s = 30.0;
-  return {fleet[7], 7, fault, 2024, gold};
-}
-
-TEST(CampaignBatchEquivalence, Fig3AndFig4SpecsAreByteIdenticalThroughBothPaths) {
-  const auto& fleet = core::SharedValenciaScenario();
-  ASSERT_GE(fleet.size(), 10u);
-
-  uav::RunConfig cfg;
-  cfg.record_rate_hz = 5.0;  // the figure benches' recording density
-  const uav::SimulationRunner runner(cfg);
-
-  // Gold references first (trajectory deviations must be counted, not
-  // short-circuited, for the equivalence to be meaningful).
-  const uav::RunOutput gold9 = runner.Run({fleet[9], 9, std::nullopt, 2024, nullptr});
-  const uav::RunOutput gold7 = runner.Run({fleet[7], 7, std::nullopt, 2024, nullptr});
-
-  const std::array<uav::ExperimentSpec, 2> specs{
-      Fig3Spec(fleet, &gold9.trajectory), Fig4Spec(fleet, &gold7.trajectory)};
-
-  // Scalar reference path.
-  uav::RunOutput scalar_fig3, scalar_fig4;
-  runner.RunInto(specs[0], scalar_fig3);
-  runner.RunInto(specs[1], scalar_fig4);
-
-  // Both specs in ONE two-lane lockstep batch.
-  uav::RunOutput batch_fig3, batch_fig4;
-  std::array<uav::RunOutput*, 2> outs{&batch_fig3, &batch_fig4};
-  runner.RunBatchInto(specs.data(), specs.size(), outs.data());
-
-  EXPECT_EQ(Fingerprint(scalar_fig3), Fingerprint(batch_fig3));
-  EXPECT_EQ(Fingerprint(scalar_fig4), Fingerprint(batch_fig4));
-  // Sanity: the runs exercised the interesting machinery (the paper's shape:
-  // neither figure mission completes under its fault).
-  EXPECT_NE(scalar_fig3.result.outcome, core::MissionOutcome::kCompleted);
-  EXPECT_FALSE(scalar_fig3.trajectory.Samples().empty());
-}
-
-// The campaign grid must be byte-identical at every batch size, including
-// ragged final batches: the 1-mission small grid has 21 faulty jobs, which
-// 4 lanes split 4+4+4+4+4+1, 8 lanes 8+8+5 and 13 lanes 13+8.
 TEST(CampaignBatchEquivalence, ByteIdenticalResultsAndStoreKeysAcrossBatchSizes) {
+  // UAVRES_BATCH is read, warned about once, and otherwise ignored — even a
+  // value outside the old [1, 16] lane range.
+  ASSERT_EQ(setenv("UAVRES_BATCH", "99", 1), 0);
+  ::testing::internal::CaptureStderr();
+  const core::CampaignConfig env = core::CampaignConfig::FromEnvironment();
+  const std::string warnings = ::testing::internal::GetCapturedStderr();
+  unsetenv("UAVRES_BATCH");
+  EXPECT_EQ(CountOccurrences(warnings, "UAVRES_BATCH is set but has no effect"), 1u)
+      << warnings;
+
   const fs::path base = fs::temp_directory_path() / "uavres_batch_equiv_test";
   fs::remove_all(base);
 
-  std::string reference_fp;
-  std::set<std::string> reference_keys;
-  for (int batch : {1, 4, 8, 13}) {
-    core::CampaignConfig cfg;
-    cfg.mission_limit = 1;
-    cfg.durations = {2.0};
-    cfg.batch_size = batch;
-    // A fresh cache dir per batch size: every run is computed (nothing is
-    // loaded), and the file names ARE the result-store keys.
-    const fs::path dir = base / ("b" + std::to_string(batch));
-    cfg.cache_dir = dir.string();
-
+  // A fresh cache dir per run: every run is computed (nothing is loaded),
+  // and the file names ARE the result-store keys.
+  auto run = [&](const std::string& name, core::CampaignConfig::Builder builder) {
+    const fs::path dir = base / name;
+    const auto cfg = builder.Missions(1).Durations({2.0}).CacheDir(dir.string()).Build();
     const auto results = core::Campaign(cfg).Run();
-    const std::string fp = Fingerprint(results);
-    const auto keys = StoreEntries(dir);
-    EXPECT_EQ(results.cache.hits, 0u) << "batch " << batch;
-    EXPECT_EQ(keys.size(), results.TotalRuns()) << "batch " << batch;
+    EXPECT_EQ(results.cache.hits, 0u) << name;
+    EXPECT_EQ(StoreEntries(dir).size(), results.TotalRuns()) << name;
+    return std::make_pair(Fingerprint(results), StoreEntries(dir));
+  };
 
-    if (batch == 1) {
-      reference_fp = fp;
-      reference_keys = keys;
-      ASSERT_FALSE(reference_fp.empty());
-    } else {
-      EXPECT_EQ(fp, reference_fp) << "results diverge at batch size " << batch;
-      EXPECT_EQ(keys, reference_keys) << "store keys diverge at batch size " << batch;
-    }
+  const auto reference = run("default", core::CampaignConfig::Builder(env));
+  ASSERT_FALSE(reference.first.empty());
+  for (int batch : {1, 8, 99}) {
+    const auto out =
+        run("b" + std::to_string(batch), core::CampaignConfig::Builder(env).Batch(batch));
+    EXPECT_EQ(out.first, reference.first) << "results diverge at batch " << batch;
+    EXPECT_EQ(out.second, reference.second) << "store keys diverge at batch " << batch;
   }
   fs::remove_all(base);
-}
-
-// Batching composes with the work-stealing scheduler: threads x batch
-// together still reproduce the single-threaded scalar grid byte for byte.
-TEST(CampaignBatchEquivalence, BatchedResultsIdenticalAcrossThreadCounts) {
-  core::CampaignConfig cfg;
-  cfg.mission_limit = 1;
-  cfg.durations = {2.0};
-
-  cfg.batch_size = 1;
-  cfg.num_threads = 1;
-  const std::string reference = Fingerprint(core::Campaign(cfg).Run());
-
-  cfg.batch_size = 8;
-  for (int threads : {1, 4}) {
-    cfg.num_threads = threads;
-    EXPECT_EQ(Fingerprint(core::Campaign(cfg).Run()), reference)
-        << "batch 8, " << threads << " threads";
-  }
-}
-
-// A cached (partially warm) store must compose with batching: a second
-// batched campaign over the same directory loads every result instead of
-// recomputing, and still reports identical outputs.
-TEST(CampaignBatchEquivalence, WarmCacheServesBatchedCampaign) {
-  const fs::path dir = fs::temp_directory_path() / "uavres_batch_cache_test";
-  fs::remove_all(dir);
-
-  core::CampaignConfig cfg;
-  cfg.mission_limit = 1;
-  cfg.durations = {2.0};
-  cfg.batch_size = 8;
-  cfg.cache_dir = dir.string();
-
-  const auto cold = core::Campaign(cfg).Run();
-  EXPECT_EQ(cold.cache.hits, 0u);
-  const auto warm = core::Campaign(cfg).Run();
-  EXPECT_EQ(warm.cache.hits, warm.TotalRuns());
-  EXPECT_EQ(Fingerprint(warm), Fingerprint(cold));
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -22,13 +22,8 @@ Comparison policy:
     files record their environment (hardware_concurrency, threads, missions,
     durations); when the environments differ the script prints a notice and
     exits 0 instead of failing the build on an apples-to-oranges comparison.
-    The zero-allocation steady-state checks (scalar and, when present,
-    batched) are environment-independent and are always enforced.
-
-    The batched campaign path ("campaign_batched", emitted by newer
-    bench_throughput builds) is gated with the same --max-regress threshold
-    whenever BOTH files carry it with matching batch sizes; files from before
-    the batched bench simply skip that gate.
+    The zero-allocation steady-state checks (one vehicle and, when present,
+    the lockstep group) are environment-independent and are always enforced.
 
     The detector-enabled step measurement ("step_latency_detector", newer
     builds still) carries two gates: its steady state must be allocation-free
@@ -45,7 +40,7 @@ import sys
 
 KNOWN_BENCHES = {"campaign_throughput", "serve_latency", "fleet"}
 
-# The fleet engine's headline batched-vs-scalar speedup needs cores to show;
+# The fleet engine's headline grouped-vs-scalar speedup needs cores to show;
 # below this many hardware threads the gate degenerates to the structural
 # checks (bit-identical oracle + broadphase event equality), mirroring the
 # environment-mismatch policy of the throughput gates.
@@ -127,7 +122,7 @@ def compare_fleet(cur: dict, base: dict, max_regress: float) -> int:
     """Gate bench_fleet output (BENCH_fleet.json).
 
     Structural invariants are environment-independent and always enforced:
-    the batched fleet run must reproduce the scalar oracle bit-for-bit
+    the grouped fleet run must reproduce the scalar oracle bit-for-bit
     (fleet.oracle_ok) and the uniform-grid broadphase must emit the same
     event stream as the exhaustive detector (broadphase.events_match).
 
@@ -211,7 +206,8 @@ def main() -> int:
         return compare_fleet(cur, base, args.max_regress)
 
     # Environment-independent gates first: the hot paths must stay
-    # allocation-free — the scalar cruise and, when measured, the batched one.
+    # allocation-free — one vehicle's cruise and, when measured, the lockstep
+    # group's.
     steady = cur.get("steady_state", {})
     if steady.get("heap_allocs", 0) != 0:
         print(f"compare_bench: FAIL — steady state performed "
@@ -219,7 +215,7 @@ def main() -> int:
         return 1
     steady_batched = cur.get("steady_state_batched")
     if steady_batched is not None and steady_batched.get("heap_allocs", 0) != 0:
-        print(f"compare_bench: FAIL — batched steady state performed "
+        print(f"compare_bench: FAIL — lockstep group steady state performed "
               f"{steady_batched.get('heap_allocs')} heap allocations (expected 0)")
         return 1
     detector = cur.get("step_latency_detector")
@@ -257,25 +253,6 @@ def main() -> int:
         print(f"compare_bench: FAIL — throughput regressed more than "
               f"{args.max_regress:.0%}")
         return 1
-
-    cur_b, base_b = cur.get("campaign_batched"), base.get("campaign_batched")
-    if cur_b is None or base_b is None:
-        print("compare_bench: batched campaign not present in both files, "
-              "skipping batched gate")
-    elif cur_b.get("batch") != base_b.get("batch"):
-        print(f"compare_bench: batched batch sizes differ "
-              f"({cur_b.get('batch')} vs {base_b.get('batch')}), skipping batched gate")
-    else:
-        cur_brps = cur_b.get("runs_per_sec", 0.0)
-        base_brps = base_b.get("runs_per_sec", 0.0)
-        if base_brps > 0.0:
-            bchange = (cur_brps - base_brps) / base_brps
-            print(f"batched runs/sec: current {cur_brps:.3f} vs baseline "
-                  f"{base_brps:.3f} ({bchange:+.1%})")
-            if bchange < -args.max_regress:
-                print(f"compare_bench: FAIL — batched throughput regressed more "
-                      f"than {args.max_regress:.0%}")
-                return 1
 
     print("compare_bench: OK")
     return 0
