@@ -26,6 +26,43 @@ void BM_RngGaussian(benchmark::State& state) {
 }
 BENCHMARK(BM_RngGaussian);
 
+sim::RigidBodyState CruiseTruth() {
+  sim::RigidBodyState s;
+  s.att = math::Quat::FromEuler(0.05, -0.1, 1.2);
+  s.accel_world = {0.4, -0.3, 0.2};
+  s.omega = {0.02, -0.05, 0.3};
+  return s;
+}
+
+// The imu module's two per-step costs (DESIGN.md §13.2): every unit sampled
+// (fault windows, recordings) ...
+void BM_ImuSampleAll(benchmark::State& state) {
+  sensors::RedundantImu imu(sensors::ImuNoiseConfig{}, sensors::ImuRanges{}, math::Rng{5});
+  const sim::RigidBodyState truth = CruiseTruth();
+  double t = 0.0;
+  for (auto _ : state) {
+    t += 0.004;
+    benchmark::DoNotOptimize(imu.SampleAll(truth, t, 0.004));
+  }
+}
+BENCHMARK(BM_ImuSampleAll);
+
+// ... and the cruise path: the selected unit sampled, the other two skipped.
+// The skipped units' draws stay deferred here; a flight replays them at its
+// next isolation switch or fault onset.
+void BM_ImuSelectedUnit(benchmark::State& state) {
+  sensors::RedundantImu imu(sensors::ImuNoiseConfig{}, sensors::ImuRanges{}, math::Rng{5});
+  const sim::RigidBodyState truth = CruiseTruth();
+  double t = 0.0;
+  for (auto _ : state) {
+    t += 0.004;
+    benchmark::DoNotOptimize(imu.unit(0).Sample(truth, t, 0.004));
+    imu.unit(1).Skip(0.004);
+    imu.unit(2).Skip(0.004);
+  }
+}
+BENCHMARK(BM_ImuSelectedUnit);
+
 void BM_QuadrotorStep(benchmark::State& state) {
   sim::Environment env;
   sim::Quadrotor quad(sim::MakeQuadrotorParams(1.5), &env);

@@ -37,6 +37,13 @@ class ImuUnit {
   /// Sample the unit from ground truth. dt is the sampling interval.
   ImuSample Sample(const sim::RigidBodyState& s, double t, double dt);
 
+  /// Let one sampling interval pass unread: the noise draws are deferred and
+  /// replayed bit-exactly before the next Sample() or VisitState().
+  void Skip(double dt) {
+    accel_noise_.Defer(dt);
+    gyro_noise_.Defer(dt);
+  }
+
   const ImuRanges& ranges() const { return ranges_; }
 
   /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
@@ -64,6 +71,9 @@ class RedundantImu {
 
   /// Sample every unit.
   std::array<ImuSample, kNumUnits> SampleAll(const sim::RigidBodyState& s, double t, double dt);
+
+  /// One physical unit, for sampling (or skipping) it on its own.
+  ImuUnit& unit(int i) { return units_[static_cast<std::size_t>(i)]; }
 
   const ImuRanges& ranges() const { return ranges_; }
 

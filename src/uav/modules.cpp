@@ -1,6 +1,7 @@
 #include "uav/modules.h"
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "math/num.h"
@@ -36,8 +37,28 @@ ImuModule::ImuModule(const sensors::ImuNoiseConfig& noise, const sensors::ImuRan
     : imu_(noise, ranges, Rng{math::HashCombine(seed, 0x02)}), bus_(bus) {}
 
 void ImuModule::Step(const bus::StepInfo& info) {
+  const sim::RigidBodyState& truth = bus_->truth.Latest().state;
   bus::ImuSignal sig;
-  sig.units = imu_.SampleAll(bus_->truth.Latest().state, info.t, info.dt);
+  if (sample_every_unit_ || (faults_ != nullptr && faults_->AnyImuActiveAt(info.t))) {
+    sig.units = imu_.SampleAll(truth, info.t, info.dt);
+  } else {
+    // Every reader of this step's signal uses the selected unit. The others
+    // defer their draws and publish a fixed sentinel, so the topic value
+    // depends on this step alone and an accidental read propagates NaN
+    // instead of a stale sample.
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr sensors::ImuSample kUnread{kNaN, {kNaN, kNaN, kNaN}, {kNaN, kNaN, kNaN}};
+    const int selected = bus_->imu_select.Latest().unit % bus::ImuSignal::kUnits;
+    for (int u = 0; u < bus::ImuSignal::kUnits; ++u) {
+      sensors::ImuSample& slot = sig.units[static_cast<std::size_t>(u)];
+      if (u == selected) {
+        slot = imu_.unit(u).Sample(truth, info.t, info.dt);
+      } else {
+        imu_.unit(u).Skip(info.dt);
+        slot = kUnread;
+      }
+    }
+  }
   bus_->imu.Publish(sig, info.t);
 }
 

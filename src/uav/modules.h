@@ -33,13 +33,28 @@
 
 namespace uavres::uav {
 
+class FaultInterceptorStage;
+
 /// Samples the redundant IMU set from the truth topic and publishes it.
 /// Fault injection happens inside the publish (interceptor chain).
+///
+/// Sampling is demand-driven (DESIGN.md §13.2): outside IMU fault windows
+/// and recordings only the selected unit — the one the estimator, the health
+/// monitor and the detector read this step — is sampled; the other two skip
+/// (their noise draws are deferred and replayed bit-exactly later) and
+/// publish a quiet-NaN sentinel. Every unit is sampled while a fault window
+/// is open (injectors draw and freeze per unit) or while recording.
 class ImuModule final : public bus::Module {
  public:
   ImuModule(const sensors::ImuNoiseConfig& noise, const sensors::ImuRanges& ranges,
             std::uint64_t seed, bus::FlightBus* bus);
   void Step(const bus::StepInfo& info) override;
+
+  /// The fault windows that force every unit to be sampled (not owned).
+  void AttachFaults(const FaultInterceptorStage* faults) { faults_ = faults; }
+  /// Sample every unit on every step from now on (a recording tap needs
+  /// the whole signal).
+  void SampleEveryUnit() { sample_every_unit_ = true; }
 
   /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
   /// run-mutable state (math/state_io.h byte streams).
@@ -49,6 +64,8 @@ class ImuModule final : public bus::Module {
  private:
   sensors::RedundantImu imu_;
   bus::FlightBus* bus_;
+  const FaultInterceptorStage* faults_{nullptr};
+  bool sample_every_unit_{false};
 };
 
 /// GNSS receiver; scheduled at the GPS divider.

@@ -35,6 +35,7 @@ Uav::Uav(const UavConfig& cfg, const nav::MissionPlan& plan,
   physics_.Reset(start, yaw0, 0.0);
   estimator_.Init(start, yaw0);
   if (detectors_.enabled()) estimator_.AttachFailover(&detectors_.detector());
+  imu_mod_.AttachFaults(&faults_);
   // Seed the step-0 inputs that carry one-step latencies: the sensors read
   // the initial truth, the estimator reads the monitor's initial selection,
   // and the commander reads the fresh battery state.

@@ -103,8 +103,13 @@ class Uav {
 
   /// Mirror all topic traffic into `os` from the next Step() on (the header
   /// must already be written by the caller; see uav/bus_replay.h). Recording
-  /// never perturbs the flight — the tap snapshots after each step.
-  void StartRecording(std::ostream* os) { tap_.emplace(&bus_, os); }
+  /// never perturbs the flight — the tap snapshots after each step, and the
+  /// imu module samples every redundant unit (not only the selected one) so
+  /// the log carries the whole signal.
+  void StartRecording(std::ostream* os) {
+    tap_.emplace(&bus_, os);
+    imu_mod_.SampleEveryUnit();
+  }
 
   /// Frames the recording tap has written so far (0 when not recording).
   std::uint64_t recorded_frames() const { return tap_ ? tap_->frames_written() : 0; }
