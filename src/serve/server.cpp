@@ -32,6 +32,18 @@ std::string ProgressFrame(std::uint64_t request_id, RequestState state) {
   return EncodeFrame(SpecMsgType::kProgress, telemetry::EncodeProgress(request_id, state));
 }
 
+std::string ResultFrame(std::uint64_t request_id, ResultSource source,
+                        const std::string& result_bytes) {
+  return EncodeFrame(SpecMsgType::kResult,
+                     telemetry::EncodeResult(request_id, source, result_bytes));
+}
+
+std::string SerializeResult(const core::MissionResult& result) {
+  std::ostringstream bytes;
+  core::WriteMissionResult(bytes, result);
+  return bytes.str();
+}
+
 }  // namespace
 
 /// One client connection. The reader thread owns the receive side; result
@@ -229,10 +241,11 @@ void Server::HandleSubmit(const std::shared_ptr<Connection>& conn,
     conn->alive.store(false, std::memory_order_release);
     return;
   }
-  // The whole batch's admission frames leave in one write. The write lock
-  // is held across admission so no worker can send a request's Running or
-  // Result before its Queued/Attached frame. Lock order: write_mutex ->
-  // flight_mutex_ -> pool; nothing takes them in reverse.
+  // The whole batch's admission frames, including every result already
+  // known, leave in one write. The write lock is held across admission so
+  // no worker can send a request's Running or Result before its
+  // Queued/Attached frame. Lock order: write_mutex -> flight_mutex_ -> pool
+  // and write_mutex -> gold_mutex_; nothing takes them in reverse.
   std::string frames;
   std::lock_guard<std::mutex> lock(conn->write_mutex);
   for (const auto& req : batch) SubmitOne(conn, req, frames);
@@ -302,31 +315,58 @@ void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireReques
                                   req.spec.seed_base};
   const std::uint64_t key = core::ExperimentCacheKey(run_cfg, espec);
 
+  // Resolution, timed as the request's flight wherever it ends: attach to
+  // a flight already open for the key, else answer a known result in this
+  // batch's write, else open a flight on the pool.
+  UAVRES_TRACE_SCOPE("serve/flight");
+  const auto attach_locked = [&] {
+    auto it = flights_.find(key);
+    if (it == flights_.end()) return false;
+    // Single-flight dedup: one run per key; this request rides along.
+    it->second->waiters.push_back({conn, req.request_id});
+    return true;
+  };
   bool attached = false;
   bool overloaded = false;
-  {
-    std::lock_guard<std::mutex> lock(flight_mutex_);
-    auto it = flights_.find(key);
-    if (it != flights_.end()) {
-      // Single-flight dedup: one run per key; this request rides along.
-      it->second->waiters.push_back({conn, req.request_id});
-      attached = true;
-    } else {
-      auto flight = std::make_shared<Flight>();
-      flight->key = key;
-      flight->mission_index = req.spec.mission_index;
-      flight->seed_base = req.spec.seed_base;
-      flight->recovery = req.spec.recovery;
-      flight->fault = fault;
-      flight->waiters.push_back({conn, req.request_id});
-      flights_.emplace(key, flight);
-      // Admission control happens while the flight table is locked so a
-      // rejected key is gone before any other client could attach to it.
-      if (!pool_->TrySubmit(conn->id, [this, key] { RunFlight(key); })) {
-        flights_.erase(key);
-        overloaded = true;
-      }
+  for (;;) {
+    std::uint64_t retired = 0;
+    {
+      std::lock_guard<std::mutex> lock(flight_mutex_);
+      attached = attach_locked();
+      retired = retired_flights_;
     }
+    if (attached) break;
+    if (const auto known = KnownResult(key, !fault.has_value())) {
+      accepted_.fetch_add(1, std::memory_order_relaxed);
+      store_hits_.fetch_add(1, std::memory_order_relaxed);
+      completed_.fetch_add(1, std::memory_order_relaxed);
+      UAVRES_COUNT("serve.admitted");
+      UAVRES_COUNT("serve.dedup.store-hits");
+      UAVRES_COUNT("serve.completed");
+      frames += ProgressFrame(req.request_id, RequestState::kQueued);
+      frames += ProgressFrame(req.request_id, RequestState::kRunning);
+      frames += ResultFrame(req.request_id, ResultSource::kStoreHit, SerializeResult(*known));
+      return;
+    }
+    std::lock_guard<std::mutex> lock(flight_mutex_);
+    attached = attach_locked();
+    if (attached) break;
+    if (retired_flights_ != retired) continue;  // its result may be known now
+    auto flight = std::make_shared<Flight>();
+    flight->key = key;
+    flight->mission_index = req.spec.mission_index;
+    flight->seed_base = req.spec.seed_base;
+    flight->recovery = req.spec.recovery;
+    flight->fault = fault;
+    flight->waiters.push_back({conn, req.request_id});
+    flights_.emplace(key, flight);
+    // Admission control happens while the flight table is locked so a
+    // rejected key is gone before any other client could attach to it.
+    if (!pool_->TrySubmit(conn->id, [this, key] { RunFlight(key); })) {
+      flights_.erase(key);
+      overloaded = true;
+    }
+    break;
   }
   if (overloaded) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -344,6 +384,19 @@ void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireReques
     UAVRES_COUNT("serve.admitted");
     frames += ProgressFrame(req.request_id, RequestState::kQueued);
   }
+}
+
+std::optional<core::MissionResult> Server::KnownResult(std::uint64_t key, bool gold) {
+  if (!gold) {
+    if (auto cached = store_.Load(key)) return std::move(cached->result);
+    return std::nullopt;
+  }
+  // Only the gold cache: a gold reference missing from it may be running
+  // under gold_flight_, whose leader sends to connections while it holds it.
+  std::lock_guard<std::mutex> lock(gold_mutex_);
+  const auto it = gold_cache_.find(key);
+  if (it == gold_cache_.end()) return std::nullopt;
+  return it->second.result;
 }
 
 std::shared_ptr<const telemetry::Trajectory> Server::GoldTrajectory(
@@ -408,8 +461,8 @@ void Server::RunFlight(std::uint64_t key) {
   }
   // Running is announced only when the flight is about to simulate, to
   // everyone attached so far; later attachers already know they are riding
-  // along. A flight resolved from the store or the gold cache instead sends
-  // Running together with its Result, one write per waiter.
+  // along. A gold flight resolved from the store or the gold cache instead
+  // sends Running together with its Result, one write per waiter.
   bool announced = false;
   const auto announce_running = [&] {
     std::vector<Flight::Waiter> now;
@@ -444,40 +497,35 @@ void Server::RunFlight(std::uint64_t key) {
     const std::size_t mission = static_cast<std::size_t>(flight->mission_index);
     api::ExperimentSpec espec{fleet_[mission], flight->mission_index, flight->fault,
                               flight->seed_base};
-    if (auto cached = store_.Load(key)) {
-      result = cached->result;
-      lead_source = ResultSource::kStoreHit;
-      store_hits_.fetch_add(1, std::memory_order_relaxed);
-      UAVRES_COUNT("serve.dedup.store-hits");
-    } else {
-      announce_running();
-      // Bubble violations are counted against the mission's gold reference —
-      // resolved through the gold cache so N dependent faulty runs trigger
-      // at most one reference simulation.
-      const auto gold = GoldTrajectory(flight->mission_index, flight->seed_base,
-                                       flight->recovery, nullptr);
-      espec.gold = gold.get();
-      UAVRES_TRACE_SCOPE("serve/faulty-run");
-      const api::SimulationRunner runner(run_cfg);
-      thread_local uav::RunOutput scratch;
-      runner.RunInto(espec, scratch);
-      result = scratch.result;
-      if (store_.enabled()) store_.Store(key, {result, std::nullopt});
-      computed_.fetch_add(1, std::memory_order_relaxed);
-      UAVRES_COUNT("serve.computed");
-    }
+    // Admission found no store entry; one written since (by another
+    // process) is recomputed to the same bytes and renamed over atomically.
+    announce_running();
+    // Bubble violations are counted against the mission's gold reference —
+    // resolved through the gold cache so N dependent faulty runs trigger at
+    // most one reference simulation.
+    const auto gold = GoldTrajectory(flight->mission_index, flight->seed_base,
+                                     flight->recovery, nullptr);
+    espec.gold = gold.get();
+    UAVRES_TRACE_SCOPE("serve/faulty-run");
+    const api::SimulationRunner runner(run_cfg);
+    thread_local uav::RunOutput scratch;
+    runner.RunInto(espec, scratch);
+    result = scratch.result;
+    if (store_.enabled()) store_.Store(key, {result, std::nullopt});
+    computed_.fetch_add(1, std::memory_order_relaxed);
+    UAVRES_COUNT("serve.computed");
   }
 
-  std::ostringstream bytes;
-  core::WriteMissionResult(bytes, result);
-  const std::string result_bytes = bytes.str();
+  const std::string result_bytes = SerializeResult(result);
 
   // Retire the flight first, then fan out: a submit that misses the table
-  // after this point re-runs through the store (a guaranteed hit).
+  // after this point finds the result at admission (in the gold cache, or
+  // in the store when one is configured).
   std::vector<Flight::Waiter> waiters;
   {
     std::lock_guard<std::mutex> lock(flight_mutex_);
     flights_.erase(key);
+    ++retired_flights_;
     waiters = std::move(flight->waiters);
   }
   for (std::size_t i = 0; i < waiters.size(); ++i) {
@@ -488,8 +536,7 @@ void Server::RunFlight(std::uint64_t key) {
     UAVRES_COUNT("serve.completed");
     std::string frames;
     if (!announced) frames = ProgressFrame(waiters[i].request_id, RequestState::kRunning);
-    frames += EncodeFrame(SpecMsgType::kResult,
-                          telemetry::EncodeResult(waiters[i].request_id, source, result_bytes));
+    frames += ResultFrame(waiters[i].request_id, source, result_bytes);
     Send(waiters[i].conn, frames);
   }
 }

@@ -6,15 +6,17 @@
 // batches of specs, and receive streamed per-request progress plus final
 // MissionResults on the same connection.
 //
-// The pipeline per accepted spec:
+// The pipeline per accepted spec, on the connection's reader thread:
 //
 //   validate -> ExperimentCacheKey -> flight table (single-flight dedup:
 //   one in-flight run per key, later submitters attach as waiters) ->
-//   TaskPool (per-client round-robin fairness, bounded admission; full
-//   queue => kRejectedOverload) -> worker: persistent ResultStore lookup,
-//   else simulate (resolving the mission's gold reference through an
-//   in-memory single-flight gold cache) and commit -> fan results out to
-//   every attached waiter.
+//   known result (a faulty key from the persistent ResultStore, a gold key
+//   from the in-memory gold cache) answered in the batch's own write ->
+//   otherwise a new flight on the TaskPool (per-client round-robin
+//   fairness, bounded admission; full queue => kRejectedOverload) ->
+//   worker: simulate (resolving the mission's gold reference through the
+//   single-flight gold cache) and commit -> fan results out to every
+//   attached waiter.
 //
 // Results are byte-identical to an offline core::Campaign::Run of the same
 // grid: the server keys and harnesses runs with exactly the campaign's
@@ -28,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,10 +98,16 @@ class Server {
                    const telemetry::SpecFrame& frame);
   void HandleSubmit(const std::shared_ptr<Connection>& conn,
                     const std::string& payload);
-  /// Admits one request and appends its Queued/Attached or Reject frame to
-  /// `frames`; the caller holds `conn->write_mutex`.
+  /// Admits one request and appends its frames to `frames`: the whole
+  /// Queued/Running/Result sequence when the result is already known,
+  /// else Queued/Attached, or a Reject. The caller holds
+  /// `conn->write_mutex`.
   void SubmitOne(const std::shared_ptr<Connection>& conn,
                  const telemetry::WireRequest& req, std::string& frames);
+  /// The result for `key` if it is already known without simulating: the
+  /// store entry of a faulty key, the gold-cache entry of a gold key. Never
+  /// waits on a gold reference run in progress.
+  std::optional<core::MissionResult> KnownResult(std::uint64_t key, bool gold);
   void RunFlight(std::uint64_t key);
   void SendStats(const std::shared_ptr<Connection>& conn);
 
@@ -129,6 +138,10 @@ class Server {
   /// Single-flight table: cache key -> in-flight run with attached waiters.
   std::mutex flight_mutex_;
   std::map<std::uint64_t, std::shared_ptr<Flight>> flights_;
+  /// Flights retired so far (guarded by flight_mutex_). A flight publishes
+  /// its result before it retires, so admission re-reads the result when
+  /// this moved during its lookup instead of simulating the key again.
+  std::uint64_t retired_flights_{0};
 
   /// Gold reference cache (gold cache key -> trajectory + result).
   struct GoldEntry {

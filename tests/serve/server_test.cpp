@@ -3,7 +3,8 @@
 //   * single-flight dedup — N clients submitting the identical spec cause
 //     exactly ONE simulation, N byte-identical results, and one store entry,
 //   * admission control — a full queue rejects with kRejectedOverload and
-//     never deadlocks the accepted work,
+//     never deadlocks the accepted work, while results already known (the
+//     store, the gold cache) are answered at admission without the pool,
 //   * the versioned handshake — a schema-skewed client is refused before
 //     any spec is interpreted,
 //   * byte-identity — a served result equals the offline library run,
@@ -23,6 +24,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/client.h"
@@ -271,6 +273,35 @@ TEST(ServeServer, BadSpecIsRejectedWithoutKillingTheBatch) {
   EXPECT_TRUE(outcomes[1].ok) << "valid spec must survive a bad sibling";
 }
 
+/// The offline recipe the daemon must reproduce bit-for-bit: gold reference
+/// with the default harness, faulty run without trajectory recording.
+/// Returns the serialized MissionResult of `wire`.
+std::string OfflineResultBytes(const WireSpec& wire) {
+  const auto& fleet = core::SharedValenciaScenario();
+  const auto& drone = fleet[static_cast<std::size_t>(wire.mission_index)];
+  const api::RunConfig run_cfg;
+  const api::SimulationRunner gold_runner(run_cfg);
+  const auto gold = gold_runner.Run({drone, wire.mission_index, std::nullopt, wire.seed_base});
+  core::MissionResult result = gold.result;
+  if (wire.has_fault) {
+    core::FaultSpec fault;
+    fault.type = static_cast<core::FaultType>(wire.fault_type);
+    fault.target = static_cast<core::FaultTarget>(wire.fault_target);
+    fault.start_time_s = wire.start_time_s;
+    fault.duration_s = wire.duration_s;
+    fault.magnitude = wire.magnitude;
+    api::RunConfig faulty_cfg = run_cfg;
+    faulty_cfg.record_trajectory = false;
+    const api::SimulationRunner faulty_runner(faulty_cfg);
+    result = faulty_runner
+                 .Run({drone, wire.mission_index, fault, wire.seed_base, &gold.trajectory})
+                 .result;
+  }
+  std::ostringstream os;
+  core::WriteMissionResult(os, result);
+  return os.str();
+}
+
 TEST(ServeServer, ServedResultIsByteIdenticalToOfflineRun) {
   TestServer server(ServerConfig{});
   const WireSpec wire = FaultySpec(2, /*type=*/1 /*kZeros*/, 5.0);
@@ -282,28 +313,7 @@ TEST(ServeServer, ServedResultIsByteIdenticalToOfflineRun) {
   ASSERT_TRUE(client.SubmitAndWait({wire}, outcomes, &err)) << err;
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_TRUE(outcomes[0].ok);
-
-  // The offline recipe the daemon must reproduce bit-for-bit: gold reference
-  // with the default harness, faulty run without trajectory recording.
-  const auto& fleet = core::SharedValenciaScenario();
-  const api::RunConfig run_cfg;
-  core::FaultSpec fault;
-  fault.type = static_cast<core::FaultType>(wire.fault_type);
-  fault.target = static_cast<core::FaultTarget>(wire.fault_target);
-  fault.start_time_s = wire.start_time_s;
-  fault.duration_s = wire.duration_s;
-  fault.magnitude = wire.magnitude;
-  const api::SimulationRunner gold_runner(run_cfg);
-  const auto gold =
-      gold_runner.Run({fleet[2], wire.mission_index, std::nullopt, wire.seed_base});
-  api::RunConfig faulty_cfg = run_cfg;
-  faulty_cfg.record_trajectory = false;
-  const api::SimulationRunner faulty_runner(faulty_cfg);
-  const auto offline = faulty_runner.Run(
-      {fleet[2], wire.mission_index, fault, wire.seed_base, &gold.trajectory});
-  std::ostringstream os;
-  core::WriteMissionResult(os, offline.result);
-  EXPECT_EQ(outcomes[0].result_bytes, os.str());
+  EXPECT_EQ(outcomes[0].result_bytes, OfflineResultBytes(wire));
 }
 
 TEST(ServeServer, StatsRequestReportsCountersAndMetrics) {
@@ -371,6 +381,11 @@ class FrameRecorder {
 
   const std::string& error() const { return error_; }
   const std::map<std::uint64_t, std::string>& sequences() const { return sequences_; }
+  /// Result source and serialized MissionResult per request id.
+  const std::map<std::uint64_t, std::pair<telemetry::ResultSource, std::string>>& results()
+      const {
+    return results_;
+  }
 
  private:
   void Write(SpecMsgType type, const std::string& payload) {
@@ -413,6 +428,7 @@ class FrameRecorder {
         std::string bytes;
         if (!telemetry::DecodeResult(frame.payload, id, source, bytes)) break;
         sequences_[id] += 'D';
+        results_[id] = {source, std::move(bytes)};
         return id;
       }
       case SpecMsgType::kReject: {
@@ -434,6 +450,7 @@ class FrameRecorder {
   telemetry::FrameReader reader_;
   std::uint64_t next_id_{1};
   std::map<std::uint64_t, std::string> sequences_;
+  std::map<std::uint64_t, std::pair<telemetry::ResultSource, std::string>> results_;
 };
 
 /// Exactly one Queued|Attached (or a lone Reject), at most one Running
@@ -527,6 +544,110 @@ TEST(ServeServer, WarmStoreHitsDoNotStall) {
   const double elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   EXPECT_LT(elapsed_s, 1.0) << kBatches << " warm batches of " << specs.size();
+}
+
+/// Submits `spec` alone until the daemon admits it: a worker frees its
+/// pool slot only after it has sent the previous result.
+Client::Outcome SubmitUntilAdmitted(Client& client, const WireSpec& spec) {
+  std::vector<Client::Outcome> out;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    std::string err;
+    if (!client.SubmitAndWait({spec}, out, &err) || out.size() != 1) {
+      ADD_FAILURE() << "submit failed: " << err;
+      return {};
+    }
+    if (out[0].ok || out[0].reject != RejectReason::kRejectedOverload) return out[0];
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ADD_FAILURE() << "the daemon never admitted the spec";
+  return out[0];
+}
+
+TEST(ServeServer, WarmHitsAnsweredWhilePoolIsFull) {
+  ServerConfig cfg;
+  cfg.cache_dir = MakeCacheDir("warm_full_pool");
+  cfg.num_threads = 1;
+  cfg.queue_capacity = 1;
+  TestServer server(cfg);
+  Client warm(ClientOpts(server.port(), "warm"));
+  std::string err;
+  ASSERT_TRUE(warm.Connect(&err)) << err;
+  const std::vector<WireSpec> specs = EightSpecs();
+  for (const auto& spec : specs) ASSERT_TRUE(SubmitUntilAdmitted(warm, spec).ok);
+
+  // A cold spec of another mission (its gold reference, then a 30 s fault)
+  // takes the only pool slot; the warm batch arrives while it simulates.
+  const std::uint64_t accepted_before = server->stats().accepted;
+  Client::Outcome cold_outcome;
+  std::thread cold([&] {
+    Client client(ClientOpts(server.port(), "cold"));
+    std::string cold_err;
+    if (client.Connect(&cold_err)) {
+      cold_outcome = SubmitUntilAdmitted(client, FaultySpec(3, /*type=*/3, 30.0));
+    }
+  });
+  for (int i = 0; i < 10000 && server->stats().accepted == accepted_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<Client::Outcome> outcomes;
+  const bool sent = warm.SubmitAndWait(specs, outcomes, &err);
+  cold.join();
+  ASSERT_TRUE(sent) << err;
+  EXPECT_TRUE(cold_outcome.ok);
+  ASSERT_EQ(outcomes.size(), specs.size());
+  for (const auto& o : outcomes) {
+    EXPECT_TRUE(o.ok) << "request " << o.request_id << " rejected: " << o.reject_detail;
+    EXPECT_NE(o.reject, RejectReason::kRejectedOverload);
+    EXPECT_EQ(o.source, telemetry::ResultSource::kStoreHit);
+  }
+}
+
+TEST(ServeServer, MixedBatchAnswersKnownResultsAndQueuesMisses) {
+  ServerConfig cfg;
+  cfg.cache_dir = MakeCacheDir("mixed_batch");
+  cfg.num_threads = 1;
+  TestServer server(cfg);
+  const WireSpec stored = FaultySpec(0, /*type=*/0, 2.0);
+  const WireSpec cold = FaultySpec(0, /*type=*/1, 2.0);
+  {
+    // Puts `stored` in the store and mission 0's gold reference in the gold
+    // cache.
+    FrameRecorder warmup(server.port());
+    warmup.SubmitBatch({stored});
+    ASSERT_EQ(warmup.error(), "");
+  }
+
+  // A store hit, a gold-cache hit, a miss and the miss again.
+  const std::vector<WireSpec> batch{stored, GoldSpec(0), cold, cold};
+  FrameRecorder recorder(server.port());
+  recorder.SubmitBatch(batch);
+  recorder.Flush();
+  ASSERT_EQ(recorder.error(), "");
+  const auto& seq = recorder.sequences();
+  ASSERT_EQ(seq.size(), batch.size());
+  EXPECT_EQ(seq.at(1), "QRD");
+  EXPECT_EQ(seq.at(2), "QRD");
+  EXPECT_EQ(seq.at(3), "QRD");
+  EXPECT_TRUE(std::regex_match(seq.at(4), std::regex("AR?D"))) << seq.at(4);
+
+  using telemetry::ResultSource;
+  const ResultSource expected[] = {ResultSource::kStoreHit, ResultSource::kStoreHit,
+                                   ResultSource::kComputed, ResultSource::kSingleFlight};
+  const auto& results = recorder.results();
+  ASSERT_EQ(results.size(), batch.size());
+  for (std::uint64_t id = 1; id <= batch.size(); ++id) {
+    EXPECT_EQ(results.at(id).first, expected[id - 1]) << "request " << id;
+    EXPECT_EQ(results.at(id).second, OfflineResultBytes(batch[id - 1])) << "request " << id;
+  }
+
+  // Warm-up: `stored` and mission 0's gold computed; batch: two hits at
+  // admission, one simulation with one attached rider.
+  const auto stats = server->stats();
+  EXPECT_EQ(stats.computed, 2u);
+  EXPECT_EQ(stats.gold_computed, 1u);
+  EXPECT_EQ(stats.store_hits, 2u);
+  EXPECT_EQ(stats.singleflight, 1u);
+  EXPECT_EQ(stats.completed, 5u);
 }
 
 std::size_t OpenFdCount() {
